@@ -117,7 +117,7 @@ func TestBatchEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/workers=%d", transport, variant, workers)
 				t.Run(name, func(t *testing.T) {
 					cfg := V100PCIe3(smallScale)
-					cfg.Workers = workers
+					cfg.GPU.Workers = workers
 					sys := NewSystem(cfg)
 					dg, err := sys.Load(g, WithTransport(transport))
 					if err != nil {

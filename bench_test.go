@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
+	"repro/internal/memsys"
 )
 
 // benchConfig is the shared reduced configuration.
@@ -37,6 +38,14 @@ func BenchmarkFig3RequestPatterns(b *testing.B) {
 	}
 }
 
+// uncappedGPU returns gc with unlimited GPU memory and the same link and
+// memory models.
+func uncappedGPU(gc gpu.Config) gpu.Config {
+	hbm, dram := gc.Tiers.HBM(), gc.Tiers.DRAM()
+	gc.Tiers = memsys.TwoTier(0, dram.CapacityBytes, hbm.Mem, dram.Mem, dram.Link)
+	return gc
+}
+
 // BenchmarkFig4ToyBandwidth regenerates Figure 4: toy traversal PCIe and
 // DRAM bandwidths, reporting the three patterns in GB/s.
 func BenchmarkFig4ToyBandwidth(b *testing.B) {
@@ -51,9 +60,8 @@ func BenchmarkFig4ToyBandwidth(b *testing.B) {
 			{core.ToyMergedAligned, &aligned},
 			{core.ToyMergedMisaligned, &misaligned},
 		} {
-			gcfg := emogi.V100PCIe3(cfg.Scale).GPU
-			gcfg.MemBytes = 0 // the toy's output array is not under test
-			dev := gpu.NewDevice(gcfg)
+			// The toy's output array is not under test.
+			dev := gpu.NewDevice(uncappedGPU(emogi.V100PCIe3(cfg.Scale).GPU))
 			r, err := core.ToyTraverse(dev, 1<<20, tc.p, core.ZeroCopy)
 			if err != nil {
 				b.Fatal(err)
@@ -399,7 +407,7 @@ func BenchmarkLaunchWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
 			cfg := emogi.V100PCIe3(0.3)
-			cfg.Workers = workers
+			cfg.GPU.Workers = workers
 			sys := emogi.NewSystem(cfg)
 			dg, err := sys.Load(g)
 			if err != nil {
@@ -479,9 +487,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	}
 	for _, k := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			gcfg := emogi.V100PCIe3(0.3).GPU
-			gcfg.MemBytes = 0
-			dev := gpu.NewDevice(gcfg)
+			dev := gpu.NewDevice(uncappedGPU(emogi.V100PCIe3(0.3).GPU))
 			dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
 			if err != nil {
 				b.Fatal(err)

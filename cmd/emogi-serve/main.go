@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		fatal(logger, "bad platform", err)
 	}
-	cfg.Workers = *workers
+	cfg.GPU.Workers = *workers
 	cfg, err = emogi.ApplyTierStack(cfg, *tiers)
 	if err != nil {
 		fatal(logger, "bad tier stack", err)
@@ -187,6 +187,15 @@ func main() {
 		pprof:    *pprofOn,
 	})
 
+	// Drain-then-stop on SIGINT/SIGTERM. The sequence is deliberate:
+	// first flip /healthz to 503 while still accepting requests (the
+	// drain grace), so load balancers route away before connections start
+	// being refused; then stop the listener and finish in-flight
+	// requests; then stop the service and unload. The handler goes in
+	// before the listener opens, so a signal sent as soon as /healthz
+	// first answers 200 drains instead of killing the process.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(logger, "listen", err)
@@ -200,13 +209,6 @@ func main() {
 	logger.Info("serving", "addr", ln.Addr().String(), "pprof", *pprofOn,
 		"flight_recorder", recorder.Capacity())
 
-	// Drain-then-stop on SIGINT/SIGTERM. The sequence is deliberate:
-	// first flip /healthz to 503 while still accepting requests (the
-	// drain grace), so load balancers route away before connections start
-	// being refused; then stop the listener and finish in-flight
-	// requests; then stop the service and unload.
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	logger.Info("draining", "grace", drainGrace.String())
 	health.SetDraining(true)

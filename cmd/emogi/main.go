@@ -49,8 +49,8 @@ func main() {
 		kernels  = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of the last run")
 		reorder  = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
-		compare  = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
-		gpus     = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
+		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
+		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
 	)
 	flag.Parse()
 
@@ -62,8 +62,44 @@ func main() {
 		return
 	}
 
+	// The machine: platform preset, memory-tier stack, paging model, and
+	// reorder window all land on cfg, which every path below builds from.
+	cfg, err := parsePlatform(*platform, *scale)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.GPU.ReorderWindow = *reorder
+	cfg, err = emogi.ApplyTierStack(cfg, *tiers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	switch strings.ToLower(*paging) {
+	case "cpu", "":
+	case "gpu":
+		cfg.GPUDrivenPaging = true
+	default:
+		log.Fatalf("unknown paging model %q (want cpu or gpu)", *paging)
+	}
+	place, err := emogi.ParsePlacement(*placement)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The multi-GPU engine and the BFS extensions build their devices from
+	// cfg.GPU directly and run the two-tier machine with CPU paging and the
+	// edge list in host DRAM; reject memory flags they cannot honor.
+	twoTierOnly := func(path string) {
+		if cfg.GPU.Tiers.HasCXL() {
+			log.Fatalf("-tiers %s is not supported %s (it runs the two-tier machine)", *tiers, path)
+		}
+		if cfg.GPUDrivenPaging {
+			log.Fatalf("-paging %s is not supported %s (it runs CPU paging)", *paging, path)
+		}
+		if place == emogi.PlaceCXL {
+			log.Fatalf("-placement %s is not supported %s (it places the edge list in host DRAM)", *placement, path)
+		}
+	}
+
 	var g *emogi.Graph
-	var err error
 	if *graphFile != "" {
 		g, err = graph.ReadFile(*graphFile)
 		if err != nil {
@@ -94,17 +130,12 @@ func main() {
 			if appID != emogi.BFS {
 				log.Fatalf("variant %q only supports -app bfs", ext)
 			}
-			runExtension(g, ext, *platform, *scale, *sources, *seed, *reorder, *validate)
+			twoTierOnly("with -variant " + ext)
+			runExtension(g, ext, cfg, *sources, *seed, *validate)
 			return
 		}
 		if *gpus > 1 {
-			cfg, err := parsePlatform(*platform, *scale)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// runMultiGPU builds devices from cfg.GPU directly, so apply the
-			// override here rather than through NewSystem.
-			cfg.GPU.ReorderWindow = *reorder
+			twoTierOnly("with -gpus > 1")
 			runMultiGPU(g, appID, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
 			return
 		}
@@ -119,26 +150,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := parsePlatform(*platform, *scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg, err = emogi.ApplyTierStack(cfg, *tiers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	switch strings.ToLower(*paging) {
-	case "cpu", "":
-	case "gpu":
-		cfg.GPUDrivenPaging = true
-	default:
-		log.Fatalf("unknown paging model %q (want cpu or gpu)", *paging)
-	}
-	place, err := emogi.ParsePlacement(*placement)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.ReorderWindow = *reorder
 
 	sys := emogi.NewSystem(cfg)
 	dg, err := sys.Load(g, emogi.WithTransportPolicy(pol), emogi.WithElemBytes(*elemBytes),
@@ -268,12 +279,7 @@ func printKernelLog(dev *gpu.Device) {
 }
 
 // runExtension measures the balanced or compressed BFS extension.
-func runExtension(g *emogi.Graph, ext, platform string, scale float64, sources int, seed int64, reorder int, validate bool) {
-	cfg, err := parsePlatform(platform, scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.GPU.ReorderWindow = reorder
+func runExtension(g *emogi.Graph, ext string, cfg emogi.SystemConfig, sources int, seed int64, validate bool) {
 	srcs := emogi.PickSources(g, sources, seed)
 	if srcs == nil {
 		log.Fatal("graph has no vertices with outgoing edges")

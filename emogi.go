@@ -27,6 +27,7 @@ package emogi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -143,43 +144,21 @@ const (
 // capacity ratios the results depend on.
 const Scale = 1.0 / 1000.0
 
-// SystemConfig describes one simulated machine.
+// SystemConfig describes one simulated machine. The device — its memory
+// hierarchy (GPU.Tiers), launch worker count (GPU.Workers), and reorder
+// window (GPU.ReorderWindow) included — is described by GPU alone; the
+// fields below attach system-level services to it.
 type SystemConfig struct {
 	Name string
 	GPU  gpu.Config
-
-	// Tiers, when non-nil, describes the machine's memory hierarchy as an
-	// explicit tier stack (HBM → host DRAM → optional CXL-class external
-	// memory); it overrides the classic GPU.MemBytes/HostMemBytes/HBM/
-	// HostDRAM/Link fields. Nil (the default) synthesizes the canonical
-	// two-tier stack from those fields — bit-for-bit the historical
-	// machine. Build stacks with TwoTier / ThreeTierCXL, or apply a named
-	// catalog stack with ApplyTierStack.
-	Tiers TierStack
 
 	// GPUDrivenPaging selects the GPUVM-style paging model for UVM
 	// migrations: page fetches issue from the GPU as tag-limited link
 	// transfers with no serialized CPU fault handler. False (the default)
 	// keeps the classic CPU fault-handler model. Migration counts and
 	// traversal results are identical either way; only the time model
-	// changes.
+	// changes. NewSystem copies it into GPU.GPUDrivenPaging.
 	GPUDrivenPaging bool
-
-	// Workers, when non-zero, overrides GPU.Workers: the number of host
-	// goroutines each kernel launch spreads its warps over (0 selects
-	// GOMAXPROCS, 1 runs warps serially). Simulated results — values,
-	// iteration counts, elapsed time, every counter — are bit-for-bit
-	// identical for every worker count; only host wall-clock time changes.
-	Workers int
-
-	// ReorderWindow, when non-zero, overrides GPU.ReorderWindow: the
-	// IARU-style reorder stage's per-warp window, in 32-byte sectors.
-	// Off-device accesses buffer in the window and are re-grouped by
-	// 128-byte line before dispatch, merging requests that different
-	// virtual-warp slices aimed at the same line. 0 (the default) disables
-	// the stage and is bit-identical to the historical engine; results are
-	// identical either way, only request shape and simulated time change.
-	ReorderWindow int
 
 	// Telemetry, when non-nil, observes every kernel launch, traversal
 	// round, and bulk copy on the system's device. Nil (the default) keeps
@@ -190,8 +169,9 @@ type SystemConfig struct {
 	// per-request transient read failures and latency spikes on the PCIe
 	// link, a steady wire derating, and allocation failures in the memory
 	// arena (see internal/fault for the profiles and the determinism
-	// contract). Nil (the default) keeps every hot path zero-overhead and
-	// bit-for-bit identical to the fault-free system.
+	// contract). NewSystem installs it on the DRAM tier's link of a copy
+	// of GPU.Tiers. Nil (the default) keeps every hot path zero-overhead
+	// and bit-for-bit identical to the fault-free system.
 	Faults FaultInjector
 }
 
@@ -208,14 +188,11 @@ func V100PCIe3(datasetScale float64) SystemConfig {
 	return SystemConfig{
 		Name: "V100 + PCIe 3.0",
 		GPU: gpu.Config{
-			Name:               "Tesla V100 16GB",
-			MemBytes:           scaleBytes(16<<30, datasetScale),
-			HostMemBytes:       scaleBytes(256<<30, datasetScale),
+			Name: "Tesla V100 16GB",
+			Tiers: memsys.TwoTier(scaleBytes(16<<30, datasetScale), scaleBytes(256<<30, datasetScale),
+				memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 			L2Bytes:            scaleBytes(6<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(80*2048, datasetScale),
-			HBM:                memsys.HBM2V100(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen3x16(),
 		},
 	}
 }
@@ -237,14 +214,11 @@ func TitanXpPCIe3(datasetScale float64) SystemConfig {
 	return SystemConfig{
 		Name: "Titan Xp + PCIe 3.0",
 		GPU: gpu.Config{
-			Name:               "Titan Xp 12GB",
-			MemBytes:           scaleBytes(12<<30, datasetScale),
-			HostMemBytes:       scaleBytes(256<<30, datasetScale),
+			Name: "Titan Xp 12GB",
+			Tiers: memsys.TwoTier(scaleBytes(12<<30, datasetScale), scaleBytes(256<<30, datasetScale),
+				memsys.GDDR5XTitanXp(), memsys.DDR4Quad(), pcie.Gen3x16()),
 			L2Bytes:            scaleBytes(3<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(60*2048, datasetScale),
-			HBM:                memsys.GDDR5XTitanXp(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen3x16(),
 		},
 	}
 }
@@ -252,26 +226,25 @@ func TitanXpPCIe3(datasetScale float64) SystemConfig {
 // A100PCIe3 returns the DGX A100 platform (§5.5) with the root port forced
 // to PCIe 3.0 mode.
 func A100PCIe3(datasetScale float64) SystemConfig {
-	cfg := A100PCIe4(datasetScale)
-	cfg.Name = "A100 + PCIe 3.0"
-	cfg.GPU.Link = pcie.Gen3x16()
-	return cfg
+	return a100(datasetScale, "A100 + PCIe 3.0", pcie.Gen3x16())
 }
 
 // A100PCIe4 returns the DGX A100 platform (§5.5): an A100 40GB on PCIe 4.0
 // x16 with 1TB of host memory.
 func A100PCIe4(datasetScale float64) SystemConfig {
+	return a100(datasetScale, "A100 + PCIe 4.0", pcie.Gen4x16())
+}
+
+// a100 is the DGX A100 platform with its root port on the given link.
+func a100(datasetScale float64, name string, link pcie.LinkConfig) SystemConfig {
 	return SystemConfig{
-		Name: "A100 + PCIe 4.0",
+		Name: name,
 		GPU: gpu.Config{
-			Name:               "A100 40GB",
-			MemBytes:           scaleBytes(40<<30, datasetScale),
-			HostMemBytes:       scaleBytes(1<<40, datasetScale),
+			Name: "A100 40GB",
+			Tiers: memsys.TwoTier(scaleBytes(40<<30, datasetScale), scaleBytes(1<<40, datasetScale),
+				memsys.HBM2eA100(), memsys.DDR4Quad(), link),
 			L2Bytes:            scaleBytes(40<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(108*2048, datasetScale),
-			HBM:                memsys.HBM2eA100(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen4x16(),
 		},
 	}
 }
@@ -282,20 +255,17 @@ type System struct {
 	dev *gpu.Device
 }
 
-// NewSystem builds a System from the given configuration.
+// NewSystem builds a System from the given configuration. It panics when
+// cfg.GPU.Tiers does not validate.
 func NewSystem(cfg SystemConfig) *System {
-	if cfg.Workers != 0 {
-		cfg.GPU.Workers = cfg.Workers
-	}
-	if cfg.ReorderWindow != 0 {
-		cfg.GPU.ReorderWindow = cfg.ReorderWindow
-	}
-	if cfg.Tiers != nil {
-		cfg.GPU.Tiers = cfg.Tiers
-	}
 	cfg.GPU.GPUDrivenPaging = cfg.GPUDrivenPaging
 	if cfg.Faults != nil {
-		cfg.GPU.Link.Faults = cfg.Faults
+		// Install the injector on a copy: the caller's stack stays
+		// fault-free and reusable.
+		cfg.GPU.Tiers = slices.Clone(cfg.GPU.Tiers)
+		if dram := cfg.GPU.Tiers.DRAM(); dram != nil {
+			dram.Link.Faults = cfg.Faults
+		}
 	}
 	s := &System{cfg: cfg, dev: gpu.NewDevice(cfg.GPU)}
 	if cfg.Telemetry != nil {
@@ -359,9 +329,10 @@ func WithElemBytes(n int) LoadOption {
 
 // WithTierStack replaces the system's memory-tier stack before placing the
 // graph — the load-time route to a CXL-class external tier on a system
-// built without one. The stack's HBM and DRAM tiers must match the system's
-// configured capacities; Load fails otherwise. Systems that set
-// SystemConfig.Tiers up front don't need this option.
+// built without one. The stack's HBM and DRAM capacities must match the
+// system's; Load fails otherwise. Only the external tier is taken from the
+// stack — the device keeps its own HBM and DRAM tiers, fault hook included.
+// Systems that set GPU.Tiers up front don't need this option.
 func WithTierStack(ts TierStack) LoadOption {
 	return func(c *loadConfig) { c.tiers = ts }
 }

@@ -309,10 +309,10 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		link := pcie.Link(l.gen, l.lanes)
 
 		// Swap the interconnect by rebuilding the two-tier stack around the
-		// swept link — the tier interface is the canonical route to the
-		// device's link model.
+		// swept link.
 		gcfg := emogi.V100PCIe3(cfg.Scale).GPU
-		gcfg.Tiers = memsys.TwoTier(gcfg.MemBytes, gcfg.HostMemBytes, gcfg.HBM, gcfg.HostDRAM, link)
+		hbm, dram := gcfg.Tiers.HBM(), gcfg.Tiers.DRAM()
+		gcfg.Tiers = memsys.TwoTier(hbm.CapacityBytes, dram.CapacityBytes, hbm.Mem, dram.Mem, link)
 		devE := cfg.Device(gcfg)
 		dgE, err := core.Upload(devE, g, core.ZeroCopy, 8)
 		if err != nil {

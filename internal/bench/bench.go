@@ -73,7 +73,9 @@ func (d *Datasets) Config() Config { return d.cfg }
 // System builds a simulated machine for the given platform configuration,
 // applying the harness worker count.
 func (c Config) System(sc emogi.SystemConfig) *emogi.System {
-	sc.Workers = c.Workers
+	if c.Workers != 0 {
+		sc.GPU.Workers = c.Workers
+	}
 	sc.Telemetry = c.Telemetry
 	if c.TierStack != "" {
 		var err error

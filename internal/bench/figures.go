@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
+	"repro/internal/memsys"
 )
 
 // newToyDevice builds the V100 device used by the §3.3 toy experiments.
@@ -14,7 +15,8 @@ import (
 // capacity is not what the experiment characterizes.
 func newToyDevice(cfg Config) *gpu.Device {
 	gc := emogi.V100PCIe3(cfg.Scale).GPU
-	gc.MemBytes = 0
+	hbm, dram := gc.Tiers.HBM(), gc.Tiers.DRAM()
+	gc.Tiers = memsys.TwoTier(0, dram.CapacityBytes, hbm.Mem, dram.Mem, dram.Link)
 	return cfg.Device(gc)
 }
 
@@ -76,7 +78,7 @@ func Figure4(cfg Config) (*Table, error) {
 		}
 		t.AddRow(v.name, gb(r.PCIeBandwidth), gb(r.DRAMBandwidth))
 	}
-	peak := emogi.V100PCIe3(cfg.Scale).TierStack().DRAM().Link.MemcpyPeak()
+	peak := emogi.V100PCIe3(cfg.Scale).GPU.Tiers.DRAM().Link.MemcpyPeak()
 	t.Notes = append(t.Notes, "cudaMemcpy peak: "+gb(peak)+" GB/s")
 	return t, nil
 }
@@ -88,8 +90,7 @@ func Table1(cfg Config) *Table {
 		Title:  "Table 1: evaluation system configuration (simulated)",
 		Header: []string{"category", "specification"},
 	}
-	ts := sys.TierStack()
-	hbm, dram := ts.HBM(), ts.DRAM()
+	hbm, dram := sys.GPU.Tiers.HBM(), sys.GPU.Tiers.DRAM()
 	t.AddRow("GPU", sys.GPU.Name)
 	t.AddRow("GPU memory", fmt.Sprintf("%d bytes (1:1000 of 16GB at scale %.2g)", hbm.CapacityBytes, cfg.Scale))
 	t.AddRow("Host memory", fmt.Sprintf("%d bytes, %s", dram.CapacityBytes, dram.Mem.Name))

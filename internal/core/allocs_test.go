@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // This file pins the engine's zero-alloc round contract: once a run's
@@ -33,9 +31,7 @@ import (
 func allocDevice(reorderWindow int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
 		Name:          "alloc-test",
-		HBM:           memsys.HBM2V100(),
-		HostDRAM:      memsys.DDR4Quad(),
-		Link:          pcie.Gen3x16(),
+		Tiers:         v100Tiers(0, 0),
 		Workers:       1,
 		ReorderWindow: reorderWindow,
 	})

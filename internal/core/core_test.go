@@ -9,13 +9,17 @@ import (
 	"repro/internal/pcie"
 )
 
+// v100Tiers is the calibrated V100 two-tier stack — HBM2 over quad-channel
+// DDR4 behind PCIe 3.0 x16 — with the given capacities (0 = unlimited).
+func v100Tiers(gpuBytes, hostBytes int64) memsys.TierStack {
+	return memsys.TwoTier(gpuBytes, hostBytes, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16())
+}
+
 // testDevice returns an uncapped device on the calibrated Gen3 link.
 func testDevice() *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-v100",
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test-v100",
+		Tiers: v100Tiers(0, 0),
 	})
 }
 
@@ -23,11 +27,8 @@ func testDevice() *gpu.Device {
 // oversubscription paths get exercised.
 func smallDevice(memBytes int64) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-small",
-		MemBytes: memBytes,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test-small",
+		Tiers: v100Tiers(memBytes, 0),
 	})
 }
 

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // recordingTelemetry records run labels and flags any kernel or round
@@ -208,11 +206,9 @@ func TestEngineMatrix(t *testing.T) {
 			}
 			for _, transport := range []Transport{ZeroCopy, UVM} {
 				dev := gpu.NewDevice(gpu.Config{
-					Name:     "matrix",
-					Workers:  workers,
-					HBM:      memsys.HBM2V100(),
-					HostDRAM: memsys.DDR4Quad(),
-					Link:     pcie.Gen3x16(),
+					Name:    "matrix",
+					Workers: workers,
+					Tiers:   v100Tiers(0, 0),
 				})
 				dg, err := Upload(dev, g, transport, 8)
 				if err != nil {

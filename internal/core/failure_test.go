@@ -6,7 +6,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // Failure injection and degenerate-input tests: the library must fail
@@ -16,10 +15,7 @@ import (
 func TestUploadHostMemoryExhausted(t *testing.T) {
 	g := testGraphs()[0]
 	dev := gpu.NewDevice(gpu.Config{
-		HostMemBytes: 1024, // host cannot hold the edge list
-		HBM:          memsys.HBM2V100(),
-		HostDRAM:     memsys.DDR4Quad(),
-		Link:         pcie.Gen3x16(),
+		Tiers: v100Tiers(0, 1024), // host cannot hold the edge list
 	})
 	if _, err := Upload(dev, g, ZeroCopy, 8); err == nil {
 		t.Errorf("expected host OOM")
@@ -33,10 +29,7 @@ func TestBFSZeroUVMCache(t *testing.T) {
 	g.InitWeights(1, 8, 72)
 	need := int64(g.NumVertices()+1)*8 + int64(g.NumVertices())*4*2 + 4096*4
 	dev := gpu.NewDevice(gpu.Config{
-		MemBytes: need,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Tiers: v100Tiers(need, 0),
 	})
 	dg, err := Upload(dev, g, UVM, 8)
 	if err != nil {

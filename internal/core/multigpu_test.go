@@ -6,18 +6,14 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 func multiDevices(n int) []*gpu.Device {
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		devs[i] = gpu.NewDevice(gpu.Config{
-			Name:     "mgpu",
-			HBM:      memsys.HBM2V100(),
-			HostDRAM: memsys.DDR4Quad(),
-			Link:     pcie.Gen3x16(),
+			Name:  "mgpu",
+			Tiers: v100Tiers(0, 0),
 		})
 	}
 	return devs

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // This file is the serial-vs-parallel equivalence suite for the gpu
@@ -22,11 +20,9 @@ import (
 // the given per-launch worker count.
 func workerDevice(workers int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     fmt.Sprintf("test-v100-w%d", workers),
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    fmt.Sprintf("test-v100-w%d", workers),
+		Workers: workers,
+		Tiers:   v100Tiers(0, 0),
 	})
 }
 

@@ -221,6 +221,7 @@ func (rt *policyRuntime) seedDegreePrior() {
 // deriveCosts fills the policy's cost model from the device platform.
 func (rt *policyRuntime) deriveCosts() CostParams {
 	cfg := rt.dev.Config()
+	link := cfg.Tiers.DRAM().Link
 	uvmCfg := rt.dev.UVM().Config()
 	pageBytes := int64(uvmCfg.PageBytes)
 	chunk := int64(uvmCfg.BlockPages) * pageBytes
@@ -231,7 +232,7 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 	// fault handler — the serialized handler cost per page. GPU-driven
 	// paging pays link tag occupancy instead, so its rate is the larger of
 	// the wire and tag occupancies, mirroring the device's accounting.
-	pageSeconds := uvmPageSeconds(cfg.Link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
+	pageSeconds := uvmPageSeconds(link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
 	budget := rt.dev.Arena().GPUFree()
 	// The UVM page cache holds at most the GPU's free memory; binding more
 	// than that makes the driver's LRU evict between rounds, so residency
@@ -263,10 +264,10 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 	}
 	cp := CostParams{
 		SegmentBytes:          rt.segBytes,
-		ZCBytesPerSec:         cfg.Link.EffectiveBandwidth(memsys.CacheLineBytes),
-		ZCSecondsPerRequest:   cfg.Link.TagSeconds(),
-		CritSecondsPerRequest: cfg.Link.RTT.Seconds() / float64(perWarp),
-		BulkBytesPerSec:       cfg.Link.MemcpyPeak(),
+		ZCBytesPerSec:         link.EffectiveBandwidth(memsys.CacheLineBytes),
+		ZCSecondsPerRequest:   link.TagSeconds(),
+		CritSecondsPerRequest: link.RTT.Seconds() / float64(perWarp),
+		BulkBytesPerSec:       link.MemcpyPeak(),
 		UVMBytesPerSec:        float64(pageBytes) / pageSeconds,
 		UVMChunkBytes:         chunk,
 		StagedBudgetBytes:     budget,

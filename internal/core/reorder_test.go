@@ -12,7 +12,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // This file is the reorder stage's equivalence suite (DESIGN.md §17):
@@ -35,9 +34,7 @@ import (
 func reorderDevice(workers, window int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
 		Name:          "reorder-test",
-		HBM:           memsys.HBM2V100(),
-		HostDRAM:      memsys.DDR4Quad(),
-		Link:          pcie.Gen3x16(),
+		Tiers:         v100Tiers(0, 0),
 		Workers:       workers,
 		ReorderWindow: window,
 	})

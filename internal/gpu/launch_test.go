@@ -48,11 +48,9 @@ func TestShardRangeProperties(t *testing.T) {
 func launchStatsForWorkers(t *testing.T, workers int) (*KernelStats, pcie.Snapshot, []pcie.TraceEntry, []uint32) {
 	t.Helper()
 	d := NewDevice(Config{
-		Name:     fmt.Sprintf("w%d", workers),
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    fmt.Sprintf("w%d", workers),
+		Workers: workers,
+		Tiers:   v100Tiers(0, 0),
 	})
 	d.Monitor().EnableTrace(4096)
 	const n = 1 << 12
@@ -135,12 +133,9 @@ func TestLaunchWorkerEquivalence(t *testing.T) {
 func TestUVMLaunchForcedSerial(t *testing.T) {
 	run := func(workers int) (*KernelStats, []uint64) {
 		d := NewDevice(Config{
-			Name:     "uvm",
-			Workers:  workers,
-			MemBytes: 1 << 16,
-			HBM:      memsys.HBM2V100(),
-			HostDRAM: memsys.DDR4Quad(),
-			Link:     pcie.Gen3x16(),
+			Name:    "uvm",
+			Workers: workers,
+			Tiers:   v100Tiers(1<<16, 0),
 		})
 		const n = 1 << 12
 		buf := d.Arena().MustAlloc("edges", memsys.SpaceUVM, n*8)
@@ -181,11 +176,9 @@ func TestUVMLaunchForcedSerial(t *testing.T) {
 // host state without atomics must be safe when launched with Serial().
 func TestSerialOption(t *testing.T) {
 	d := NewDevice(Config{
-		Name:     "serial-opt",
-		Workers:  8,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    "serial-opt",
+		Workers: 8,
+		Tiers:   v100Tiers(0, 0),
 	})
 	const warps = 1024
 	order := make([]int, 0, warps)

@@ -5,16 +5,13 @@ import (
 	"time"
 
 	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 func telemetryTestDevice(workers int) *Device {
 	return NewDevice(Config{
-		Name:     "tel-test",
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    "tel-test",
+		Workers: workers,
+		Tiers:   v100Tiers(0, 0),
 	})
 }
 

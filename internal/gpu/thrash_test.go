@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 // thrashDevice returns a device with a deliberately tiny L2 so the cache
@@ -12,9 +11,7 @@ import (
 func thrashDevice(l2 int64, lanes int, sensitivity float64) *Device {
 	return NewDevice(Config{
 		Name:               "thrash",
-		HBM:                memsys.HBM2V100(),
-		HostDRAM:           memsys.DDR4Quad(),
-		Link:               pcie.Gen3x16(),
+		Tiers:              v100Tiers(0, 0),
 		L2Bytes:            l2,
 		MaxConcurrentLanes: lanes,
 		ThrashSensitivity:  sensitivity,

@@ -261,9 +261,9 @@ func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 		ks.PCIeRequests++
 		ks.PCIePayloadBytes += uint64(size)
 		w.zcBySize[size/memsys.SectorBytes-1]++
-		ks.HostDRAMBytes += uint64(d.cfg.HostDRAM.ServedBytes(size))
-		w.mon.Record(size, d.cfg.Link.TLPOverheadBytes)
-		if h := d.cfg.Link.Faults; h != nil {
+		ks.HostDRAMBytes += uint64(d.dram.ServedBytes(size))
+		w.mon.Record(size, d.link.TLPOverheadBytes)
+		if h := d.link.Faults; h != nil {
 			// The decision is keyed by (epoch, warp, seq), not call order,
 			// so the injected fault set — and the merged counts — are
 			// identical for every worker count. A failed completion still
@@ -289,10 +289,10 @@ func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 			// on: host DRAM behind PCIe, or the CXL expander behind its own
 			// link. UVM launches always run serially (see workerCount), so
 			// accumulating these floats here is partition-independent.
-			lnk := d.cfg.Link
+			lnk := d.link
 			fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
 			if fromCXL {
-				lnk = d.cfg.Tiers.CXL().Link
+				lnk = d.cxl.Link
 				ks.CXLPayloadBytes += uint64(bytes)
 				ks.CXLWireSeconds += lnk.BulkSeconds(bytes)
 				ks.CXLMemBytes += uint64(bytes)
@@ -336,7 +336,7 @@ func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 		// the expander's DRAM. CXL sector reuse is not fed into the L2
 		// thrash model (a deliberate simplification: CXL-homed segments
 		// are the cold tail, whose reuse is rare by construction).
-		cxlT := d.cfg.Tiers.CXL()
+		cxlT := d.cxl
 		w.cxlReqs++
 		ks.CXLRequests++
 		ks.CXLPayloadBytes += uint64(size)

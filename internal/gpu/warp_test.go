@@ -7,13 +7,17 @@ import (
 	"repro/internal/pcie"
 )
 
+// v100Tiers is the calibrated V100 two-tier stack — HBM2 over quad-channel
+// DDR4 behind PCIe 3.0 x16 — with the given capacities (0 = unlimited).
+func v100Tiers(gpuBytes, hostBytes int64) memsys.TierStack {
+	return memsys.TwoTier(gpuBytes, hostBytes, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16())
+}
+
 // testDevice returns an uncapped device on a Gen3 link for traffic tests.
 func testDevice() *Device {
 	return NewDevice(Config{
-		Name:     "test",
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test",
+		Tiers: v100Tiers(0, 0),
 	})
 }
 

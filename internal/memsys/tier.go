@@ -6,16 +6,14 @@ import (
 	"repro/internal/pcie"
 )
 
-// This file defines the pluggable memory-tier stack. The original model has
-// exactly two tiers — GPU HBM and host DRAM behind one PCIe link — baked
-// into separate configuration fields. A TierStack makes the hierarchy a
-// first-class, extensible description: each Tier couples a capacity with the
-// interconnect cost model (pcie.LinkConfig) and device-side service model
-// (DRAMModel) that accesses landing on it pay. The canonical two-tier stack
-// reproduces the historical configuration bit-for-bit; a third CXL-class
-// tier extends the reach of the simulated system beyond host DRAM
-// (microsecond-latency external memory, as in the CXL graph-processing
-// literature — see PAPERS.md).
+// This file defines the memory-tier stack, the one description of a
+// simulated machine's memory hierarchy: each Tier couples a capacity with
+// the interconnect cost model (pcie.LinkConfig) and device-side service
+// model (DRAMModel) that accesses landing on it pay. The canonical two-tier
+// stack — GPU HBM and host DRAM behind one PCIe link — is the paper's
+// machine; a third CXL-class tier extends the reach of the simulated system
+// beyond host DRAM (microsecond-latency external memory, as in the CXL
+// graph-processing literature — see PAPERS.md).
 
 // TierKind identifies a tier's position in the memory hierarchy.
 type TierKind uint8
@@ -125,9 +123,7 @@ func (ts TierStack) CXL() *Tier { return ts.byKind(TierCXL) }
 func (ts TierStack) HasCXL() bool { return ts.CXL() != nil }
 
 // TwoTier returns the canonical two-tier stack — GPU HBM over host DRAM
-// behind one PCIe link — equivalent to the historical (MemBytes,
-// HostMemBytes, HBM, HostDRAM, Link) configuration fields. Systems built
-// from it are bit-for-bit identical to pre-tier systems.
+// behind one PCIe link — the machine the paper evaluates.
 func TwoTier(gpuBytes, hostBytes int64, hbm, dram DRAMModel, link pcie.LinkConfig) TierStack {
 	return TierStack{
 		{Name: hbm.Name, Kind: TierHBM, CapacityBytes: gpuBytes, Mem: hbm},
@@ -173,8 +169,7 @@ func CXLExpander() DRAMModel {
 // NewTieredArena creates an arena whose capacities come from a tier stack:
 // HBM capacity for GPU allocations, DRAM capacity for pinned/UVM backing,
 // and — when the stack has one — the CXL tier attached for SpaceCXL homes.
-// This is the arena's primary constructor; the deprecated NewArena shim
-// delegates here through a synthesized two-tier stack.
+// This is the arena's only constructor.
 func NewTieredArena(ts TierStack) (*Arena, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err

@@ -197,23 +197,3 @@ func TestSetSegmentHomeMovesAccounting(t *testing.T) {
 		t.Error("GPU home should fail")
 	}
 }
-
-// TestNewTieredArenaDelegation pins the deprecated-style equivalence: a
-// two-tier arena from NewTieredArena is indistinguishable from the classic
-// NewArena construction.
-func TestNewTieredArenaDelegation(t *testing.T) {
-	classic := NewArena(4096, 8192)
-	tiered, err := NewTieredArena(TwoTier(4096, 8192, HBM2V100(), DDR4Quad(), pcie.Gen3x16()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if classic.GPUCapacity != tiered.GPUCapacity || classic.HostCapacity != tiered.HostCapacity ||
-		classic.CXLCapacity != tiered.CXLCapacity {
-		t.Errorf("capacities differ: classic %d/%d/%d tiered %d/%d/%d",
-			classic.GPUCapacity, classic.HostCapacity, classic.CXLCapacity,
-			tiered.GPUCapacity, tiered.HostCapacity, tiered.CXLCapacity)
-	}
-	if tiered.CXLTier() != nil {
-		t.Error("two-tier arena should have no CXL tier")
-	}
-}

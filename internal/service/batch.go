@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	emogi "repro"
@@ -288,13 +287,12 @@ func (s *Service) runBatch(t *task) {
 	}
 }
 
-// executeBatch runs one batch through DoBatch with the same retry,
-// backoff, and degradation ladder as single requests (execute): the
-// whole batch retries on transient faults, and after DegradeAfter
-// consecutive zero-copy failures the remaining attempts run every lane
-// under the static-uvm policy override, marking each delivered Result
-// Degraded. The batch itself never carries a caller context — each lane
-// detaches through its own waiters' contexts instead.
+// executeBatch runs one batch through DoBatch under the same retry ladder
+// as single requests (execute): the whole batch retries on transient
+// faults, and once the ladder degrades every lane runs under the static-uvm
+// policy override, each delivered Result marked Degraded. The batch itself
+// never carries a caller context — each lane detaches through its own
+// waiters' contexts instead.
 func (s *Service) executeBatch(t *task) (*emogi.BatchOutcome, error) {
 	b := t.batch
 	stop := make(chan struct{})
@@ -307,58 +305,31 @@ func (s *Service) executeBatch(t *task) (*emogi.BatchOutcome, error) {
 			Src:     ln.src,
 			Variant: b.variant,
 			Cold:    true,
-			Policy:  b.pol,
 			Ctx:     laneContext(ln.waiters, stop),
 		}
 	}
-	degraded := false
-	consecutive := 0
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.RetryAttempts; attempt++ {
-		t.attempts = attempt + 1
-		if attempt > 0 {
-			s.met.retries.Inc()
-			if err := s.backoff(t, attempt); err != nil {
-				return nil, err
-			}
+	var out *emogi.BatchOutcome
+	degraded, err := s.retryLadder(t, b.pol, func(pol emogi.TransportPolicy) (err error) {
+		for i := range reqs {
+			reqs[i].Policy = pol
 		}
 		// The batch trace rides the dispatch context so the collector
 		// attributes the shared run's rounds to it.
-		execStart := time.Now()
-		out, err := s.sys.DoBatch(telemetry.WithTrace(context.Background(), t.trace), reqs)
-		s.syncFaultCounters()
-		s.stageSpan(t, telemetry.StageExecute, attempt+1, execStart, executeDetail(degraded, err))
-		if err == nil {
-			if degraded {
-				for _, item := range out.Results {
-					if item.Res != nil {
-						item.Res.Degraded = true
-						s.met.degraded.Inc()
-					}
-				}
+		out, err = s.sys.DoBatch(telemetry.WithTrace(context.Background(), t.trace), reqs)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if degraded {
+		for _, item := range out.Results {
+			if item.Res != nil {
+				item.Res.Degraded = true
+				s.met.degraded.Inc()
 			}
-			return out, nil
-		}
-		var te *emogi.TransientError
-		if errors.As(err, &te) {
-			t.faults += te.Faults
-		}
-		if !errors.Is(err, emogi.ErrTransient) {
-			return nil, err
-		}
-		lastErr = err
-		consecutive++
-		if !degraded && consecutive >= s.cfg.DegradeAfter && attempt+1 < s.cfg.RetryAttempts {
-			degStart := time.Now()
-			for i := range reqs {
-				reqs[i].Policy = emogi.StaticPolicy(emogi.UVM)
-			}
-			degraded = true
-			s.stageSpan(t, telemetry.StageDegrade, attempt+1, degStart, "rerouted onto static-uvm policy")
 		}
 	}
-	return nil, fmt.Errorf("service: retry budget exhausted after %d attempts: %w",
-		s.cfg.RetryAttempts, lastErr)
+	return out, nil
 }
 
 // laneContext merges a lane's waiters into the context the engine

@@ -525,37 +525,15 @@ func (s *Service) worker() {
 	}
 }
 
-// execute runs one admitted task with retry, backoff, and transport
-// degradation. Attempts that fail with an error matching
-// emogi.ErrTransient (aborted traversals, injected allocation failures)
-// are retried after an exponential, jittered backoff until the budget
-// (Config.RetryAttempts) runs out; after Config.DegradeAfter consecutive
-// transient zero-copy failures the remaining attempts run under the
-// static-uvm policy override — a transport-policy transition, not a
-// reload: the policy layer rebinds the same pinned edge list to page
-// migration, whose bulk traffic the per-request link faults cannot touch
-// — and a success is marked Degraded. Every other error — cancellation
-// included — returns immediately.
+// execute runs one admitted task under the retry ladder. Cold caches make
+// every run independent of queue order: UVM residency and staged segments
+// are device-global state the LRU cache key could not otherwise account
+// for. The trace rides the context so the collector attributes the run's
+// rounds to this request.
 func (s *Service) execute(t *task) (*emogi.Result, error) {
-	pol := t.pol
-	degraded := false
-	consecutive := 0
-	var lastErr error
-	for attempt := 0; attempt < s.cfg.RetryAttempts; attempt++ {
-		t.attempts = attempt + 1
-		if attempt > 0 {
-			s.met.retries.Inc()
-			if err := s.backoff(t, attempt); err != nil {
-				return nil, err
-			}
-		}
-		// Cold caches make every run independent of queue order: UVM
-		// residency and staged segments are device-global state the LRU
-		// cache key could not otherwise account for. The trace rides the
-		// context so the collector attributes the run's rounds to this
-		// request.
-		execStart := time.Now()
-		res, err := s.sys.Do(telemetry.WithTrace(t.ctx, t.trace), emogi.Request{
+	var res *emogi.Result
+	degraded, err := s.retryLadder(t, t.pol, func(pol emogi.TransportPolicy) (err error) {
+		res, err = s.sys.Do(telemetry.WithTrace(t.ctx, t.trace), emogi.Request{
 			Graph:   t.dg,
 			Algo:    t.req.Algo,
 			Src:     t.req.Src,
@@ -563,21 +541,55 @@ func (s *Service) execute(t *task) (*emogi.Result, error) {
 			Cold:    true,
 			Policy:  pol,
 		})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if degraded {
+		res.Degraded = true
+		s.met.degraded.Inc()
+	}
+	return res, nil
+}
+
+// retryLadder runs one task's attempts with retry, backoff, and transport
+// degradation — the one ladder single requests (execute) and batches
+// (executeBatch) share. run performs one attempt under the given policy.
+// Attempts that fail with an error matching emogi.ErrTransient (aborted
+// traversals, injected allocation failures) are retried after an
+// exponential, jittered backoff until the budget (Config.RetryAttempts)
+// runs out; after Config.DegradeAfter consecutive transient zero-copy
+// failures the remaining attempts run under the static-uvm policy override
+// — a transport-policy transition, not a reload: the policy layer rebinds
+// the same pinned edge list to page migration, whose bulk traffic the
+// per-request link faults cannot touch. Every other error — cancellation
+// included — returns immediately. On success it reports whether the
+// winning attempt ran degraded, so the caller can mark its results.
+func (s *Service) retryLadder(t *task, pol emogi.TransportPolicy, run func(emogi.TransportPolicy) error) (degraded bool, err error) {
+	consecutive := 0
+	var lastErr error
+	for attempt := 0; attempt < s.cfg.RetryAttempts; attempt++ {
+		t.attempts = attempt + 1
+		if attempt > 0 {
+			s.met.retries.Inc()
+			if err := s.backoff(t, attempt); err != nil {
+				return false, err
+			}
+		}
+		execStart := time.Now()
+		err := run(pol)
 		s.syncFaultCounters()
 		s.stageSpan(t, telemetry.StageExecute, attempt+1, execStart, executeDetail(degraded, err))
 		if err == nil {
-			if degraded {
-				res.Degraded = true
-				s.met.degraded.Inc()
-			}
-			return res, nil
+			return degraded, nil
 		}
 		var te *emogi.TransientError
 		if errors.As(err, &te) {
 			t.faults += te.Faults
 		}
 		if !errors.Is(err, emogi.ErrTransient) {
-			return nil, err
+			return false, err
 		}
 		lastErr = err
 		consecutive++
@@ -588,7 +600,7 @@ func (s *Service) execute(t *task) (*emogi.Result, error) {
 			s.stageSpan(t, telemetry.StageDegrade, attempt+1, degStart, "rerouted onto static-uvm policy")
 		}
 	}
-	return nil, fmt.Errorf("service: retry budget exhausted after %d attempts: %w",
+	return false, fmt.Errorf("service: retry budget exhausted after %d attempts: %w",
 		s.cfg.RetryAttempts, lastErr)
 }
 

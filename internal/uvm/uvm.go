@@ -71,15 +71,6 @@ func ConfigWithPaging(capacityPages int, gpuDriven bool) Config {
 	}
 }
 
-// DefaultConfig returns the calibrated driver model: 4KB pages migrated in
-// 64KB prefetch blocks, CPU-driven fault handling.
-//
-// Deprecated: use ConfigWithPaging, which makes the paging mode explicit.
-// DefaultConfig(c) is exactly ConfigWithPaging(c, false).
-func DefaultConfig(capacityPages int) Config {
-	return ConfigWithPaging(capacityPages, false)
-}
-
 // Stats aggregates UVM activity. Times are accounted by the GPU device's
 // kernel roofline; Stats only counts events and bytes.
 type Stats struct {

@@ -5,19 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/memsys"
+	"repro/internal/pcie"
 )
 
 // noPrefetch returns a config with block prefetching disabled, for tests
 // that exercise single-page mechanics.
 func noPrefetch(capacity int) Config {
-	cfg := DefaultConfig(capacity)
+	cfg := ConfigWithPaging(capacity, false)
 	cfg.BlockPages = 1
 	return cfg
 }
 
 func newTestBuffer(t *testing.T, pages int) *memsys.Buffer {
 	t.Helper()
-	a := memsys.NewArena(0, 0)
+	a, err := memsys.NewTieredArena(memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return a.MustAlloc("uvm", memsys.SpaceUVM, int64(pages*memsys.PageBytes))
 }
 
@@ -194,7 +198,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestDefaultConfigCalibration(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := ConfigWithPaging(100, false)
 	if cfg.PageBytes != 4096 {
 		t.Errorf("PageBytes = %d, want 4096", cfg.PageBytes)
 	}
@@ -243,7 +247,7 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 
 func TestBlockPrefetch(t *testing.T) {
 	b := newTestBuffer(t, 64)
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
 	// Touching one byte in page 3 migrates its whole aligned 16-page block.
@@ -270,7 +274,7 @@ func TestBlockPrefetch(t *testing.T) {
 
 func TestBlockPrefetchClippedAtBufferEnd(t *testing.T) {
 	b := newTestBuffer(t, 20) // last block has only 4 pages
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
 	if got := m.Touch(b, 17*memsys.PageBytes, 8); got != 4 {
@@ -307,7 +311,7 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 func TestBlockPrefetchStreamingNoWaste(t *testing.T) {
 	pages := 64
 	b := newTestBuffer(t, pages)
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	m := NewManager(cfg)
 	total := 0
 	for p := 0; p < pages; p++ {
@@ -315,24 +319,5 @@ func TestBlockPrefetchStreamingNoWaste(t *testing.T) {
 	}
 	if total != pages {
 		t.Errorf("streaming migrated %d pages, want %d", total, pages)
-	}
-}
-
-// TestDefaultConfigDelegation pins the deprecated wrapper: DefaultConfig(c)
-// is exactly ConfigWithPaging(c, false).
-func TestDefaultConfigDelegation(t *testing.T) {
-	for _, c := range []int{-1, 0, 7, 4096} {
-		if got, want := DefaultConfig(c), ConfigWithPaging(c, false); got != want {
-			t.Errorf("DefaultConfig(%d) = %+v, want %+v", c, got, want)
-		}
-	}
-	g := ConfigWithPaging(16, true)
-	if !g.GPUDriven {
-		t.Error("ConfigWithPaging(_, true) should select GPU-driven paging")
-	}
-	c := ConfigWithPaging(16, false)
-	g.GPUDriven = false
-	if g != c {
-		t.Error("paging selector must be the only difference between the models")
 	}
 }

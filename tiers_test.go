@@ -2,8 +2,13 @@ package emogi
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/memsys"
+	"repro/internal/pcie"
 )
 
 func TestTierCatalogAndAliases(t *testing.T) {
@@ -36,22 +41,43 @@ func TestTierCatalogAndAliases(t *testing.T) {
 	}
 }
 
+// TestSystemConfigTierStackDerivation pins the memory hierarchy each
+// platform preset derives from its hardware: a valid two-tier stack with
+// the scaled capacities, service models, and link of the paper's machines.
 func TestSystemConfigTierStackDerivation(t *testing.T) {
-	for _, mk := range []func(float64) SystemConfig{V100PCIe3, TitanXpPCIe3, A100PCIe3, A100PCIe4} {
-		cfg := mk(0.05)
-		ts := cfg.TierStack()
+	const scale = 0.05
+	for _, c := range []struct {
+		cfg               SystemConfig
+		gpuFull, hostFull int64
+		hbm               memsys.DRAMModel
+		link              pcie.LinkConfig
+	}{
+		{V100PCIe3(scale), 16 << 30, 256 << 30, memsys.HBM2V100(), pcie.Gen3x16()},
+		{TitanXpPCIe3(scale), 12 << 30, 256 << 30, memsys.GDDR5XTitanXp(), pcie.Gen3x16()},
+		{A100PCIe3(scale), 40 << 30, 1 << 40, memsys.HBM2eA100(), pcie.Gen3x16()},
+		{A100PCIe4(scale), 40 << 30, 1 << 40, memsys.HBM2eA100(), pcie.Gen4x16()},
+	} {
+		ts := c.cfg.GPU.Tiers
 		if err := ts.Validate(); err != nil {
-			t.Errorf("%s: derived stack invalid: %v", cfg.Name, err)
-		}
-		dram := ts.DRAM()
-		if dram.Link.Name != cfg.GPU.Link.Name || dram.Link.RawBytesPerSec != cfg.GPU.Link.RawBytesPerSec {
-			t.Errorf("%s: derived DRAM link %q does not match GPU.Link %q", cfg.Name, dram.Link.Name, cfg.GPU.Link.Name)
-		}
-		if ts.HBM().CapacityBytes != cfg.GPU.MemBytes || dram.CapacityBytes != cfg.GPU.HostMemBytes {
-			t.Errorf("%s: derived capacities do not match the classic fields", cfg.Name)
+			t.Errorf("%s: preset stack invalid: %v", c.cfg.Name, err)
+			continue
 		}
 		if ts.HasCXL() {
-			t.Errorf("%s: platform constructors are two-tier", cfg.Name)
+			t.Errorf("%s: platform presets are two-tier", c.cfg.Name)
+		}
+		hbm, dram := ts.HBM(), ts.DRAM()
+		if got, want := hbm.CapacityBytes, scaleBytes(c.gpuFull, scale); got != want {
+			t.Errorf("%s: HBM capacity %d, want %d", c.cfg.Name, got, want)
+		}
+		if got, want := dram.CapacityBytes, scaleBytes(c.hostFull, scale); got != want {
+			t.Errorf("%s: DRAM capacity %d, want %d", c.cfg.Name, got, want)
+		}
+		if hbm.Mem != c.hbm || dram.Mem != memsys.DDR4Quad() {
+			t.Errorf("%s: memory models %q/%q, want %q/%q",
+				c.cfg.Name, hbm.Mem.Name, dram.Mem.Name, c.hbm.Name, memsys.DDR4Quad().Name)
+		}
+		if dram.Link != c.link {
+			t.Errorf("%s: DRAM link %q, want %q", c.cfg.Name, dram.Link.Name, c.link.Name)
 		}
 	}
 }
@@ -62,22 +88,28 @@ func TestApplyTierStackThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cfg.TierStack()
+	ts := cfg.GPU.Tiers
 	if !ts.HasCXL() {
 		t.Fatal("3tier-cxl config has no CXL tier")
 	}
-	if got, want := ts.CXL().CapacityBytes, 4*base.GPU.HostMemBytes; got != want {
+	if got, want := ts.CXL().CapacityBytes, 4*base.GPU.Tiers.DRAM().CapacityBytes; got != want {
 		t.Errorf("CXL capacity = %d, want 4x host DRAM = %d", got, want)
+	}
+	if base.GPU.Tiers.HasCXL() {
+		t.Error("ApplyTierStack modified the caller's stack")
 	}
 	two, err := ApplyTierStack(base, "2tier")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Tiers != nil {
-		t.Error("2tier should keep the classic (nil Tiers) configuration")
+	if len(two.GPU.Tiers) != 2 || two.GPU.Tiers.HasCXL() {
+		t.Errorf("2tier should keep the preset's two-tier stack, got %d tiers", len(two.GPU.Tiers))
 	}
 	if _, err := ApplyTierStack(base, "bogus"); err == nil {
 		t.Error("unknown stack name should error")
+	}
+	if _, err := ApplyTierStack(SystemConfig{}, "3tier-cxl"); err == nil {
+		t.Error("3tier-cxl over an empty GPU.Tiers should error")
 	}
 }
 
@@ -141,7 +173,8 @@ func TestWithTierStackAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := ThreeTierCXL(cfg.TierStack(), 4*cfg.GPU.HostMemBytes)
+	dram := cfg.GPU.Tiers.DRAM()
+	ts := ThreeTierCXL(cfg.GPU.Tiers, 4*dram.CapacityBytes)
 	dg, err := sys.Load(g, WithTierStack(ts), WithPlacement(PlaceCXL))
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +192,63 @@ func TestWithTierStackAtLoad(t *testing.T) {
 	}
 
 	// A stack whose DRAM capacity disagrees with the machine is rejected.
-	bad := ThreeTierCXL(TwoTier(cfg.GPU.MemBytes, cfg.GPU.HostMemBytes+1,
-		cfg.GPU.HBM, cfg.GPU.HostDRAM, cfg.GPU.Link), 1<<30)
+	hbm := cfg.GPU.Tiers.HBM()
+	bad := ThreeTierCXL(TwoTier(hbm.CapacityBytes, dram.CapacityBytes+1,
+		hbm.Mem, dram.Mem, dram.Link), 1<<30)
 	if _, err := sys.Load(g, WithTierStack(bad)); err == nil {
 		t.Error("mismatched tier stack should fail at Load")
 	}
+}
+
+// TestWithTierStackKeepsFaultHook loads a flaky-link system through
+// WithTierStack("3tier-cxl"): attaching the external tier must keep the
+// device's own DRAM link, fault hook included, so the tier stack the device
+// reports and the link its coalescer charges cannot disagree — and read
+// faults keep firing.
+func TestWithTierStackKeepsFaultHook(t *testing.T) {
+	inj, err := fault.New(fault.Config{Seed: 5, ReadFaultRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := V100PCIe3(smallScale)
+	cfg.Faults = inj
+	sys := NewSystem(cfg)
+	if cfg.GPU.Tiers.DRAM().Link.Faults != nil {
+		t.Error("NewSystem installed the fault hook on the caller's tier stack")
+	}
+	cxl, err := ApplyTierStack(V100PCIe3(smallScale), "3tier-cxl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildDataset("GK", smallScale, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := sys.Load(g, WithTierStack(cxl.GPU.Tiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := sys.Device().Tiers()
+	if !ts.HasCXL() {
+		t.Fatal("WithTierStack did not attach the CXL tier")
+	}
+	if ts.DRAM().Link.Faults != inj {
+		t.Fatalf("device DRAM link fault hook = %v, want the system's injector", ts.DRAM().Link.Faults)
+	}
+	src := PickSources(g, 1, 23)[0]
+	for attempt := 0; attempt < 8; attempt++ {
+		_, err := sys.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Cold: true})
+		if err != nil {
+			if !errors.Is(err, ErrTransient) {
+				t.Fatalf("faulted run: err = %v, want ErrTransient", err)
+			}
+			if inj.Counts().ReadFaults == 0 {
+				t.Error("transient failure without a counted read fault")
+			}
+			return
+		}
+	}
+	t.Fatal("a 5% read-fault rate never aborted a run after WithTierStack")
 }
 
 // TestGPUDrivenPagingSystem checks the system-level paging selector: same
