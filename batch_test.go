@@ -119,7 +119,7 @@ func TestBatchEquivalence(t *testing.T) {
 					cfg := V100PCIe3(smallScale)
 					cfg.GPU.Workers = workers
 					sys := NewSystem(cfg)
-					dg, err := sys.Load(g, WithTransport(transport))
+					dg, err := sys.Load(g, WithTransportPolicy(StaticPolicy(transport)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,7 +147,7 @@ func TestBatchEquivalence(t *testing.T) {
 								t.Errorf("%s lane %d: BatchSize = %d, want %d",
 									algo, i, item.Res.BatchSize, len(srcs))
 							}
-							if err := Validate(g, item.Res); err != nil {
+							if err := item.Res.Validate(g); err != nil {
 								t.Errorf("%s lane %d: %v", algo, i, err)
 							}
 							if !laneEqual(item.Res, want[i]) {
@@ -309,7 +309,7 @@ func TestBatchLaneErrors(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if out.Results[i].Err != nil {
 			t.Errorf("lane %d: %v, want success beside a failed lane", i, out.Results[i].Err)
-		} else if err := Validate(g, out.Results[i].Res); err != nil {
+		} else if err := out.Results[i].Res.Validate(g); err != nil {
 			t.Errorf("lane %d: %v", i, err)
 		}
 	}

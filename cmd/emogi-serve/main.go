@@ -435,7 +435,7 @@ func handleTraverse(svc *service.Service, logger *slog.Logger) http.HandlerFunc 
 			App:            res.App,
 			Src:            res.Source,
 			Variant:        res.Variant.String(),
-			Transport:      effectiveTransport(res),
+			Transport:      res.Policy,
 			Iterations:     res.Iterations,
 			ElapsedNS:      res.Elapsed.Nanoseconds(),
 			Elapsed:        res.Elapsed.String(),
@@ -580,16 +580,6 @@ func parseVariant(s string) (emogi.Variant, error) {
 		return emogi.MergedAligned, nil
 	}
 	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
-}
-
-// effectiveTransport names the policy the run actually executed under.
-// Results from entry points that predate the policy layer carry no policy
-// name; the base transport still tells the story there.
-func effectiveTransport(res *emogi.Result) string {
-	if res.Policy != "" {
-		return res.Policy
-	}
-	return res.Transport.String()
 }
 
 func parsePlatform(s string, scale float64) (emogi.SystemConfig, error) {

@@ -1,13 +1,15 @@
 // Command emogi runs one graph traversal on the simulated system and
 // reports its simulated time and PCIe traffic, e.g.:
 //
-//	emogi -graph GK -app bfs -variant merged+aligned -transport static-zc
-//	emogi -graph SK -app sssp -transport static-uvm -sources 8
-//	emogi -graph GK -app bfs -transport adaptive
-//	emogi -file mygraph.csr -app cc
+//	emogi -graph GK -algo bfs -variant merged+aligned -transport static-zc
+//	emogi -graph SK -algo sssp -transport static-uvm -sources 8
+//	emogi -graph GK -algo bfs-compressed -transport adaptive
+//	emogi -file mygraph.csr -algo cc
+//	emogi -algo list
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,10 +30,8 @@ func main() {
 	var (
 		graphSym  = flag.String("graph", "GK", "dataset symbol (GK GU FS ML SK UK5)")
 		graphFile = flag.String("file", "", "load a CSR graph file instead of generating")
-		app       = flag.String("app", "bfs", "application: bfs, sssp, or cc")
-		algo      = flag.String("algo", "", "algorithm registry name (overrides -app; \"list\" prints all)")
-		variant   = flag.String("variant", "merged+aligned",
-			"kernel variant: naive, merged, merged+aligned; BFS also accepts balanced and compressed")
+		algo      = flag.String("algo", "bfs", "algorithm registry name (\"list\" prints all)")
+		variant   = flag.String("variant", "merged+aligned", "kernel variant: naive, merged, merged+aligned")
 		transport = flag.String("transport", "static-zc",
 			"edge-list transport policy: static-zc, static-uvm, or adaptive (legacy spellings zerocopy/uvm still accepted)")
 		scale     = flag.Float64("scale", 1.0, "dataset scale (1.0 = standard 1:1000 reduction)")
@@ -45,9 +45,8 @@ func main() {
 			"UVM paging model: cpu (serialized fault handler) or gpu (GPU-driven page fetch)")
 		placement = flag.String("placement", "auto",
 			"edge-list tier placement: auto (DRAM with CXL spill), dram, or cxl")
-		validate = flag.Bool("validate", true, "validate results against CPU references")
-		kernels  = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of the last run")
-		reorder  = flag.Int("reorder-window", 0,
+		kernels = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of the last run")
+		reorder = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
 		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
 		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
@@ -84,10 +83,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The multi-GPU engine and the BFS extensions build their devices from
-	// cfg.GPU directly and run the two-tier machine with CPU paging and the
-	// edge list in host DRAM; reject memory flags they cannot honor.
-	twoTierOnly := func(path string) {
+	// The multi-GPU engine builds its devices from cfg.GPU directly and runs
+	// the two-tier machine with CPU paging and the edge list in host DRAM;
+	// reject memory flags it cannot honor.
+	if *gpus > 1 {
+		const path = "with -gpus > 1"
 		if cfg.GPU.Tiers.HasCXL() {
 			log.Fatalf("-tiers %s is not supported %s (it runs the two-tier machine)", *tiers, path)
 		}
@@ -112,35 +112,10 @@ func main() {
 		}
 	}
 
-	// -algo dispatches straight through the algorithm registry; -app is
-	// the typed three-application convenience that resolves to a registry
-	// name ("bfs", "sssp", "cc").
 	algoName := strings.ToLower(*algo)
-	if algoName == "" {
-		appID, err := parseApp(*app)
-		if err != nil {
-			log.Fatal(err)
-		}
-		algoName = strings.ToLower(appID.String())
-
-		// The BFS extensions (balanced workload, compressed edge list) keep
-		// their historical -variant spellings as an alias for -algo.
-		ext := strings.ToLower(*variant)
-		if ext == "balanced" || ext == "compressed" {
-			if appID != emogi.BFS {
-				log.Fatalf("variant %q only supports -app bfs", ext)
-			}
-			twoTierOnly("with -variant " + ext)
-			runExtension(g, ext, cfg, *sources, *seed, *validate)
-			return
-		}
-		if *gpus > 1 {
-			twoTierOnly("with -gpus > 1")
-			runMultiGPU(g, appID, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
-			return
-		}
-	} else if *gpus > 1 {
-		log.Fatal("-algo does not support -gpus > 1 (use -app for the multi-GPU engine)")
+	if *gpus > 1 {
+		runMultiGPU(g, algoName, cfg, *gpus, *sources, *seed, *elemBytes)
+		return
 	}
 	v, err := parseVariant(*variant)
 	if err != nil {
@@ -162,16 +137,10 @@ func main() {
 		log.Fatal("graph has no vertices with outgoing edges")
 	}
 
-	sum, err := sys.RunManyAlgo(dg, algoName, srcs, v)
+	// RunMany validates every run against the CPU reference.
+	sum, err := sys.RunMany(dg, algoName, srcs, v)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *validate {
-		for _, r := range sum.Results {
-			if err := emogi.Validate(g, r); err != nil {
-				log.Fatalf("validation failed: %v", err)
-			}
-		}
 	}
 
 	fmt.Printf("platform:   %s\n", cfg.Name)
@@ -190,16 +159,14 @@ func main() {
 		fmt.Printf("CXL:        reqs=%d payload=%d bytes over the external tier's link\n",
 			sum.Stats.CXLRequests, sum.Stats.CXLPayloadBytes)
 	}
-	if *validate {
-		fmt.Println("validated:  results match CPU reference")
-	}
+	fmt.Println("validated:  results match CPU reference")
 	if st, isStatic := pol.Static(); *compare && (!isStatic || st == emogi.ZeroCopy) {
 		sysU := emogi.NewSystem(cfg)
 		dgU, err := sysU.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(emogi.UVM)), emogi.WithElemBytes(*elemBytes))
 		if err != nil {
 			log.Fatalf("loading UVM baseline: %v", err)
 		}
-		uvmSum, err := sysU.RunManyAlgo(dgU, algoName, srcs, emogi.Merged)
+		uvmSum, err := sysU.RunMany(dgU, algoName, srcs, emogi.Merged)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -212,8 +179,21 @@ func main() {
 	os.Exit(0)
 }
 
-// runMultiGPU measures the §7 multi-GPU engine.
-func runMultiGPU(g *emogi.Graph, app emogi.App, cfg emogi.SystemConfig, n, sources int, seed int64, elemBytes int, validate bool) {
+// runMultiGPU measures the §7 multi-GPU engine, which runs bfs, sssp and
+// cc; any other algorithm name is fatal.
+func runMultiGPU(g *emogi.Graph, algo string, cfg emogi.SystemConfig, n, sources int, seed int64, elemBytes int) {
+	ctx := context.Background()
+	var run func(ms *core.MultiSystem, src int) (*emogi.Result, error)
+	switch algo {
+	case "bfs":
+		run = func(ms *core.MultiSystem, src int) (*emogi.Result, error) { return ms.BFS(ctx, src) }
+	case "sssp":
+		run = func(ms *core.MultiSystem, src int) (*emogi.Result, error) { return ms.SSSP(ctx, src) }
+	case "cc":
+		run = func(ms *core.MultiSystem, _ int) (*emogi.Result, error) { return ms.CC(ctx) }
+	default:
+		log.Fatalf("-gpus %d supports -algo bfs, sssp or cc, not %q", n, algo)
+	}
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		devs[i] = gpu.NewDevice(cfg.GPU)
@@ -228,41 +208,30 @@ func runMultiGPU(g *emogi.Graph, app emogi.App, cfg emogi.SystemConfig, n, sourc
 		log.Fatal("graph has no vertices with outgoing edges")
 	}
 	var total time.Duration
+	var res *emogi.Result
 	runs := 0
 	for _, src := range srcs {
-		var res *emogi.Result
-		switch app {
-		case emogi.SSSP:
-			res, err = ms.SSSP(src)
-		case emogi.CC:
-			res, err = ms.CC()
-		default:
-			res, err = ms.BFS(src)
-		}
+		res, err = run(ms, src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if validate {
-			if err := emogi.Validate(g, res); err != nil {
-				log.Fatalf("validation failed: %v", err)
-			}
+		if err := res.Validate(g); err != nil {
+			log.Fatalf("validation failed: %v", err)
 		}
 		total += res.Elapsed
 		runs++
-		if app == emogi.CC {
-			break
+		if algo == "cc" {
+			break // no source vertex; one run is the measurement
 		}
 	}
 	fmt.Printf("platform:   %s x%d\n", cfg.Name, n)
-	fmt.Printf("run:        %s (multi-GPU), %d source(s)\n", app, runs)
+	fmt.Printf("run:        %s (multi-GPU), %d source(s)\n", res.App, runs)
 	fmt.Printf("mean time:  %v (simulated)\n", total/time.Duration(runs))
 	for i := 0; i < n; i++ {
 		lo, hi := ms.Partition(i)
 		fmt.Printf("  GPU %d owns vertices [%d, %d)\n", i, lo, hi)
 	}
-	if validate {
-		fmt.Println("validated:  results match CPU reference")
-	}
+	fmt.Println("validated:  results match CPU reference")
 }
 
 // printKernelLog dumps the simulated device's per-launch statistics — the
@@ -276,80 +245,6 @@ func printKernelLog(dev *gpu.Device) {
 			ks.Name, ks.Warps, ks.PCIeRequests,
 			float64(ks.PCIePayloadBytes)/1e3, ks.UVMMigrations, ks.Elapsed)
 	}
-}
-
-// runExtension measures the balanced or compressed BFS extension.
-func runExtension(g *emogi.Graph, ext string, cfg emogi.SystemConfig, sources int, seed int64, validate bool) {
-	srcs := emogi.PickSources(g, sources, seed)
-	if srcs == nil {
-		log.Fatal("graph has no vertices with outgoing edges")
-	}
-	dev := gpu.NewDevice(cfg.GPU)
-	var total time.Duration
-	var payload uint64
-	var iterations int
-	switch ext {
-	case "balanced":
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, src := range srcs {
-			res, err := core.BFSBalanced(dev, dg, src, 1024)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if validate {
-				if err := res.Validate(g); err != nil {
-					log.Fatalf("validation failed: %v", err)
-				}
-			}
-			total += res.Elapsed
-			payload += res.Stats.PCIePayloadBytes
-			iterations = res.Iterations
-		}
-	case "compressed":
-		cdg, err := core.UploadCompressed(dev, g)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("compression: %.1f MB -> %.1f MB (%.2fx)\n",
-			float64(cdg.PlainBytes)/1e6, float64(cdg.CompressedBytes)/1e6, cdg.Ratio())
-		for _, src := range srcs {
-			res, err := core.BFSCompressed(dev, cdg, src)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if validate {
-				if err := res.Validate(g); err != nil {
-					log.Fatalf("validation failed: %v", err)
-				}
-			}
-			total += res.Elapsed
-			payload += res.Stats.PCIePayloadBytes
-			iterations = res.Iterations
-		}
-	}
-	fmt.Printf("platform:   %s\n", cfg.Name)
-	fmt.Printf("run:        BFS (%s extension), %d source(s)\n", ext, len(srcs))
-	fmt.Printf("mean time:  %v (simulated)\n", total/time.Duration(len(srcs)))
-	fmt.Printf("iterations: %d (last source)\n", iterations)
-	fmt.Printf("payload:    %.1f MB over PCIe across all runs\n", float64(payload)/1e6)
-	if validate {
-		fmt.Println("validated:  results match CPU reference")
-	}
-}
-
-func parseApp(s string) (emogi.App, error) {
-	switch strings.ToLower(s) {
-	case "bfs":
-		return emogi.BFS, nil
-	case "sssp":
-		return emogi.SSSP, nil
-	case "cc":
-		return emogi.CC, nil
-	}
-	return 0, fmt.Errorf("unknown app %q (want bfs, sssp, or cc)", s)
 }
 
 func parseVariant(s string) (emogi.Variant, error) {

@@ -4,8 +4,10 @@
 // software simulation of the GPU memory system.
 //
 // A System is one simulated machine (GPU + host memory + PCIe link).
-// Graphs are loaded onto it with a transport (ZeroCopy for EMOGI, UVM for
-// the baseline) and traversed by algorithm name in one of the paper's
+// Graphs are loaded onto it under a transport policy (StaticPolicy(ZeroCopy)
+// for EMOGI, StaticPolicy(UVM) for the baseline, or AdaptivePolicy) and
+// traversed by algorithm registry name ("bfs", "sssp", "cc", "sswp", and
+// the specialty traversals listed by Algorithms) in one of the paper's
 // three kernel variants. All functional results are exact (validated
 // against CPU references); all performance numbers are simulated time from
 // the calibrated model described in DESIGN.md.
@@ -16,12 +18,11 @@
 //	res, _ := sys.Do(ctx, emogi.Request{Graph: dg, Algo: "bfs", Src: src, Variant: emogi.MergedAligned})
 //	fmt.Println(res.Elapsed, res.Stats.PCIeRequests)
 //
-// Do is the context-first v2 entry point: it accepts per-request
-// cancellation and deadlines (a canceled run stops at the next round
-// boundary with an error matching ErrCanceled) and is safe for concurrent
-// use — runs serialize on the device. The v1 per-app methods (BFS, SSSP,
-// CC, SSWP, Run, RunAlgo) and the positional LoadV1 survive as deprecated
-// wrappers over Do and Load.
+// Do is the one traversal entry point, DoBatch its batched form, and
+// RunMany the multi-source measurement built on Do. Do accepts
+// per-request cancellation and deadlines (a canceled run stops at the next
+// round boundary with an error matching ErrCanceled) and is safe for
+// concurrent use — runs serialize on the device.
 package emogi
 
 import (
@@ -56,8 +57,6 @@ type (
 	// Build one with StaticPolicy or AdaptivePolicy, or resolve a name with
 	// PolicyByName.
 	TransportPolicy = core.TransportPolicy
-	// App identifies a traversal application.
-	App = core.App
 	// Telemetry receives per-launch, per-round, and per-copy events from
 	// the simulated device (see internal/telemetry for the Prometheus and
 	// Chrome-trace implementation).
@@ -113,8 +112,8 @@ const (
 )
 
 // StaticPolicy returns the transport policy that binds the whole edge list
-// to one transport for the whole run — exactly the historical WithTransport
-// behavior ("static-zc" for ZeroCopy, "static-uvm" for UVM).
+// to one transport for the whole run ("static-zc" for ZeroCopy,
+// "static-uvm" for UVM).
 func StaticPolicy(t Transport) TransportPolicy { return core.StaticPolicyFor(t) }
 
 // AdaptivePolicy returns the HyTGraph-style policy: a per-partition cost
@@ -131,13 +130,6 @@ func TransportPolicies() []TransportPolicy { return core.TransportPolicies() }
 // "static-uvm", "adaptive"; the v1 spellings "zerocopy", "zc", "emogi",
 // "uvm" are accepted as aliases).
 func PolicyByName(name string) (TransportPolicy, error) { return core.PolicyByName(name) }
-
-// Applications.
-const (
-	BFS  = core.AppBFS
-	SSSP = core.AppSSSP
-	CC   = core.AppCC
-)
 
 // Scale is the repository's standard dataset reduction: every dataset and
 // every memory capacity is 1/1000 of the paper's, preserving all the
@@ -312,15 +304,6 @@ func WithTransportPolicy(p TransportPolicy) LoadOption {
 	return func(c *loadConfig) { c.policy = p }
 }
 
-// WithTransport selects where the edge list lives: ZeroCopy (EMOGI, the
-// default) or UVM (the migration baseline).
-//
-// Deprecated: use WithTransportPolicy(StaticPolicy(t)); this wrapper is
-// exactly that.
-func WithTransport(t Transport) LoadOption {
-	return WithTransportPolicy(StaticPolicy(t))
-}
-
 // WithElemBytes sets the edge element width: 8 (the paper's main
 // experiments, the default) or 4 (the Subway comparison, Table 3).
 func WithElemBytes(n int) LoadOption {
@@ -360,13 +343,6 @@ func (s *System) Load(g *Graph, opts ...LoadOption) (*DeviceGraph, error) {
 		}
 	}
 	return core.UploadPolicyPlaced(s.dev, g, c.policy, c.elemBytes, c.placement)
-}
-
-// LoadV1 is the v1 positional load.
-//
-// Deprecated: use Load with WithTransport / WithElemBytes.
-func (s *System) LoadV1(g *Graph, transport Transport, elemBytes int) (*DeviceGraph, error) {
-	return s.Load(g, WithTransport(transport), WithElemBytes(elemBytes))
 }
 
 // Unload releases a loaded graph's buffers. It is idempotent: unloading
@@ -413,8 +389,7 @@ type Request struct {
 	Ctx context.Context
 }
 
-// Do executes one traversal. It is the context-first entry point that
-// unifies the per-app methods and RunAlgo:
+// Do executes one traversal of the algorithm Request.Algo names:
 //
 //   - Cancellation: when ctx is canceled or its deadline passes, the run
 //     stops at the next round boundary and Do returns a *CanceledError
@@ -449,7 +424,7 @@ func (s *System) Do(ctx context.Context, req Request) (*Result, error) {
 		if req.Cold {
 			s.dev.ResetUVMResidency()
 		}
-		res, err = core.RunAlgoContext(ctx, s.dev, req.Graph, req.Algo, req.Src, req.Variant)
+		res, err = core.RunAlgo(ctx, s.dev, req.Graph, req.Algo, req.Src, req.Variant)
 	})
 	return res, err
 }
@@ -540,56 +515,6 @@ func (s *System) DoBatch(ctx context.Context, reqs []Request) (*BatchOutcome, er
 	return out, err
 }
 
-// BFS runs breadth-first search from src.
-//
-// Deprecated: use Do with Request{Algo: "bfs"}.
-func (s *System) BFS(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: v})
-}
-
-// SSSP runs single-source shortest path from src.
-//
-// Deprecated: use Do with Request{Algo: "sssp"}.
-func (s *System) SSSP(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "sssp", Src: src, Variant: v})
-}
-
-// CC runs connected components (undirected graphs only).
-//
-// Deprecated: use Do with Request{Algo: "cc"}.
-func (s *System) CC(dg *DeviceGraph, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "cc", Variant: v})
-}
-
-// Run dispatches by application; src is ignored for CC.
-//
-// Deprecated: use Do with the algorithm's registry name.
-func (s *System) Run(dg *DeviceGraph, app App, src int, v Variant) (*Result, error) {
-	switch app {
-	case BFS, SSSP, CC:
-		return s.Do(context.Background(),
-			Request{Graph: dg, Algo: strings.ToLower(app.String()), Src: src, Variant: v})
-	default:
-		return nil, fmt.Errorf("emogi: unknown application %d", int(app))
-	}
-}
-
-// SSWP runs single-source widest path from src (weighted graphs only).
-//
-// Deprecated: use Do with Request{Algo: "sswp"}.
-func (s *System) SSWP(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "sswp", Src: src, Variant: v})
-}
-
-// RunAlgo dispatches by algorithm registry name. src is ignored by
-// source-free algorithms; variant is ignored by fixed-variant specialty
-// kernels.
-//
-// Deprecated: use Do, which adds cancellation and concurrency safety.
-func (s *System) RunAlgo(dg *DeviceGraph, name string, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: name, Src: src, Variant: v})
-}
-
 // Algorithms lists the registered traversal algorithms sorted by name.
 func Algorithms() []*Algorithm {
 	return core.Algorithms()
@@ -628,13 +553,4 @@ func DatasetSymbols() []string {
 // edges, as in §5.2.
 func PickSources(g *Graph, k int, seed int64) []int {
 	return graph.PickSources(g, k, seed)
-}
-
-// Validate checks a result against the CPU reference implementation of its
-// application.
-func Validate(g *Graph, res *Result) error {
-	if res == nil {
-		return fmt.Errorf("emogi: nil result")
-	}
-	return res.Validate(g)
 }

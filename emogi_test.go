@@ -3,9 +3,12 @@ package emogi
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // smallScale keeps the public-API tests fast: ~1:50000 of the paper.
@@ -65,11 +68,11 @@ func TestEndToEndBFS(t *testing.T) {
 	}
 	defer sys.Unload(dg)
 	src := PickSources(g, 1, 3)[0]
-	res, err := sys.BFS(dg, src, MergedAligned)
+	res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, res); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("BFS result invalid: %v", err)
 	}
 	if res.Elapsed <= 0 || res.Stats.PCIeRequests == 0 {
@@ -85,16 +88,16 @@ func TestEndToEndAllAppsAllTransports(t *testing.T) {
 	src := PickSources(g, 1, 5)[0]
 	for _, transport := range []Transport{ZeroCopy, UVM} {
 		sys := NewSystem(V100PCIe3(smallScale))
-		dg, err := sys.Load(g, WithTransport(transport))
+		dg, err := sys.Load(g, WithTransportPolicy(StaticPolicy(transport)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, app := range []App{BFS, SSSP, CC} {
-			res, err := sys.Run(dg, app, src, Merged)
+		for _, app := range []string{"bfs", "sssp", "cc"} {
+			res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: app, Src: src, Variant: Merged})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", transport, app, err)
 			}
-			if err := Validate(g, res); err != nil {
+			if err := res.Validate(g); err != nil {
 				t.Errorf("%s/%s: %v", transport, app, err)
 			}
 		}
@@ -112,7 +115,7 @@ func TestRunManyAveraging(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := PickSources(g, 3, 11)
-	sum, err := sys.RunMany(dg, BFS, sources, MergedAligned)
+	sum, err := sys.RunMany(dg, "bfs", sources, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestRunManyCCRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sys.RunMany(dg, CC, []int{0, 1, 2}, Merged)
+	sum, err := sys.RunMany(dg, "cc", []int{0, 1, 2}, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestRunManyNoSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunMany(dg, BFS, nil, Merged); err == nil {
+	if _, err := sys.RunMany(dg, "bfs", nil, Merged); err == nil {
 		t.Errorf("empty source list accepted")
 	}
 }
@@ -191,11 +194,11 @@ func TestHeadlineSpeedupDirection(t *testing.T) {
 	sources := PickSources(g, 2, 13)
 
 	sysU := NewSystem(V100PCIe3(0.3))
-	dgU, err := sysU.Load(g, WithTransport(UVM))
+	dgU, err := sysU.Load(g, WithTransportPolicy(StaticPolicy(UVM)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uvm, err := sysU.RunMany(dgU, BFS, sources, Merged)
+	uvm, err := sysU.RunMany(dgU, "bfs", sources, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,20 +208,13 @@ func TestHeadlineSpeedupDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := sysE.RunMany(dgE, BFS, sources, MergedAligned)
+	em, err := sysE.RunMany(dgE, "bfs", sources, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	if sp := Speedup(uvm, em); sp < 1.2 {
 		t.Errorf("EMOGI speedup over UVM = %.2fx, want > 1.2x", sp)
-	}
-}
-
-func TestValidateNilResult(t *testing.T) {
-	g, _ := BuildDataset("GU", smallScale, 7)
-	if err := Validate(g, nil); err == nil {
-		t.Errorf("nil result accepted")
 	}
 }
 
@@ -236,11 +232,10 @@ func TestSystemAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := PickSources(g, 1, 5)[0]
-	if _, err := sys.SSSP(dg, src, Merged); err != nil {
-		t.Fatalf("SSSP: %v", err)
-	}
-	if _, err := sys.CC(dg, Merged); err != nil {
-		t.Fatalf("CC: %v", err)
+	for _, algo := range []string{"sssp", "cc"} {
+		if _, err := sys.Do(context.Background(), Request{Graph: dg, Algo: algo, Src: src, Variant: Merged}); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
 	}
 	if sys.Device().Clock() == 0 {
 		t.Errorf("clock should have advanced")
@@ -262,8 +257,8 @@ func TestRunSummaryZeroCases(t *testing.T) {
 }
 
 // TestLoadOptions: the functional-option Load covers every transport and
-// element-width combination the positional v1 signature did, and the
-// defaults are the paper's configuration (zero-copy, 8-byte elements).
+// element-width combination, and the defaults are the paper's
+// configuration (zero-copy, 8-byte elements).
 func TestLoadOptions(t *testing.T) {
 	g, err := BuildDataset("GK", smallScale, 42)
 	if err != nil {
@@ -279,24 +274,15 @@ func TestLoadOptions(t *testing.T) {
 	}
 	sys.Unload(dg)
 
-	dg, err = sys.Load(g, WithTransport(UVM), WithElemBytes(4))
+	dg, err = sys.Load(g, WithTransportPolicy(StaticPolicy(UVM)), WithElemBytes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dg.Transport != UVM || dg.EdgeBytes != 4 {
-		t.Errorf("Load with options = %v/%d, want uvm/4", dg.Transport, dg.EdgeBytes)
+	if dg.Transport != UVM || dg.EdgeBytes != 4 || dg.PolicyName() != "static-uvm" {
+		t.Errorf("Load with options = %v/%d/%s, want uvm/4/static-uvm",
+			dg.Transport, dg.EdgeBytes, dg.PolicyName())
 	}
 	sys.Unload(dg)
-
-	// The deprecated positional signature still works and agrees.
-	dgV1, err := sys.LoadV1(g, UVM, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dgV1.Transport != UVM || dgV1.EdgeBytes != 4 {
-		t.Errorf("LoadV1 = %v/%d, want uvm/4", dgV1.Transport, dgV1.EdgeBytes)
-	}
-	sys.Unload(dgV1)
 }
 
 // TestUnloadIdempotent: Unload (and the underlying Free) may be called
@@ -334,59 +320,45 @@ func TestUnloadIdempotent(t *testing.T) {
 	sys.Unload(dg2)
 }
 
-// TestDeprecatedWrappersDelegate: every v1 convenience method produces
-// the same answer as the Do request it now delegates to.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
+// TestDoDispatchesByName: Do on each of the paper's applications and
+// SSWP returns exactly what the registry entry computes on an identical
+// machine, labeled with the application and validated by Result.Validate.
+func TestDoDispatchesByName(t *testing.T) {
 	g, err := BuildDataset("GK", smallScale, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(V100PCIe3(smallScale))
-	dg, err := sys.Load(g)
-	if err != nil {
-		t.Fatal(err)
+	load := func() (*System, *DeviceGraph) {
+		sys := NewSystem(V100PCIe3(smallScale))
+		dg, err := sys.Load(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, dg
 	}
-	defer sys.Unload(dg)
+	sys, dg := load()
+	ref, refDG := load()
 	src := PickSources(g, 1, 7)[0]
-
-	check := func(name string, v1 func() (*Result, error), req Request) {
-		t.Helper()
-		got, err := v1()
+	for _, algo := range []string{"bfs", "sssp", "cc", "sswp"} {
+		got, err := sys.Do(context.Background(), Request{Graph: dg, Algo: algo, Src: src, Variant: MergedAligned})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
-		want, err := sys.Do(context.Background(), req)
+		want, err := core.RunAlgo(context.Background(), ref.Device(), refDG, algo, src, MergedAligned)
 		if err != nil {
-			t.Fatalf("%s via Do: %v", name, err)
+			t.Fatalf("%s via the registry: %v", algo, err)
 		}
-		if got.App != want.App || got.Iterations != want.Iterations {
-			t.Errorf("%s: v1 wrapper and Do disagree: %s/%d vs %s/%d",
-				name, got.App, got.Iterations, want.App, want.Iterations)
+		if got.App != strings.ToUpper(algo) {
+			t.Errorf("%s: result app %q", algo, got.App)
 		}
-		for i := range got.Values {
-			if got.Values[i] != want.Values[i] {
-				t.Fatalf("%s: values diverge at vertex %d", name, i)
-			}
+		if err := got.Validate(g); err != nil {
+			t.Errorf("%s: %v", algo, err)
+		}
+		if got.Iterations != want.Iterations || got.Elapsed != want.Elapsed || !slices.Equal(got.Values, want.Values) {
+			t.Errorf("%s: Do and the registry disagree: %d iterations in %v vs %d in %v",
+				algo, got.Iterations, got.Elapsed, want.Iterations, want.Elapsed)
 		}
 	}
-	check("BFS",
-		func() (*Result, error) { return sys.BFS(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
-	check("SSSP",
-		func() (*Result, error) { return sys.SSSP(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "sssp", Src: src, Variant: MergedAligned})
-	check("CC",
-		func() (*Result, error) { return sys.CC(dg, MergedAligned) },
-		Request{Graph: dg, Algo: "cc", Variant: MergedAligned})
-	check("SSWP",
-		func() (*Result, error) { return sys.SSWP(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "sswp", Src: src, Variant: MergedAligned})
-	check("Run",
-		func() (*Result, error) { return sys.Run(dg, BFS, src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
-	check("RunAlgo",
-		func() (*Result, error) { return sys.RunAlgo(dg, "bfs-pushpull", src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs-pushpull", Src: src, Variant: MergedAligned})
 }
 
 // TestDoValidation: Do rejects malformed requests with messages that

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,15 +26,15 @@ func main() {
 
 	run := func(name string, transport emogi.Transport, variant emogi.Variant) *emogi.Result {
 		sys := emogi.NewSystem(emogi.V100PCIe3(scale))
-		dg, err := sys.Load(g, emogi.WithTransport(transport))
+		dg, err := sys.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(transport)))
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.CC(dg, variant)
+		res, err := sys.Do(context.Background(), emogi.Request{Graph: dg, Algo: "cc", Variant: variant})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := emogi.Validate(g, res); err != nil {
+		if err := res.Validate(g); err != nil {
 			log.Fatalf("%s produced wrong components: %v", name, err)
 		}
 		fmt.Printf("%-14s %10v simulated, %6.1f MB moved over PCIe\n",

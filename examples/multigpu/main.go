@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,11 +35,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := ms.BFS(src)
+		res, err := ms.BFS(context.Background(), src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := emogi.Validate(g, res); err != nil {
+		if err := res.Validate(g); err != nil {
 			log.Fatalf("%d GPUs produced wrong levels: %v", n, err)
 		}
 		ms.Free()

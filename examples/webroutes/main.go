@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,11 +33,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.SSSP(dg, portal, variant)
+		res, err := sys.Do(context.Background(), emogi.Request{Graph: dg, Algo: "sssp", Src: portal, Variant: variant})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := emogi.Validate(g, res); err != nil {
+		if err := res.Validate(g); err != nil {
 			log.Fatalf("%s: wrong distances: %v", variant, err)
 		}
 

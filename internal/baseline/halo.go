@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,7 +9,9 @@ import (
 	"repro/internal/graph"
 )
 
-// HALORun executes one application with the HALO-style configuration [21]:
+// HALORun executes one application, named by its algorithm registry name
+// ("bfs", "sssp" or "cc"; any other name is an error), with the HALO-style
+// configuration [21]:
 // the CSR is first reordered with a locality-enhancing permutation (HALO's
 // contribution), then traversed through UVM exactly like the optimized UVM
 // baseline. Reordering improves the page locality of frontier neighbor
@@ -19,7 +22,11 @@ import (
 //
 // The reordering itself is offline preprocessing and is not charged to the
 // run, matching how HALO's published numbers are reported.
-func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result, error) {
+func HALORun(dev *gpu.Device, g *graph.CSR, app string, src int) (*core.Result, error) {
+	app, err := paperApp("HALO", app)
+	if err != nil {
+		return nil, err
+	}
 	perm := graph.LocalityOrder(g)
 	rg := graph.Reorder(g, perm)
 
@@ -30,13 +37,13 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 	defer dg.Free(dev)
 
 	rsrc := src
-	if app != core.AppCC {
+	if app != "cc" {
 		if src < 0 || src >= g.NumVertices() {
 			return nil, fmt.Errorf("baseline: source %d out of range", src)
 		}
 		rsrc = int(perm[src])
 	}
-	res, err := core.Run(dev, dg, app, rsrc, core.Merged)
+	res, err := core.RunAlgo(context.Background(), dev, dg, app, rsrc, core.Merged)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +58,7 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 	remapped := make([]uint32, n)
 	for old := 0; old < n; old++ {
 		v := res.Values[perm[old]]
-		if app == core.AppCC && v != graph.InfDist {
+		if app == "cc" && v != graph.InfDist {
 			// The min-label in the reordered space is the vertex with the
 			// smallest *new* ID in the component; translate to the
 			// smallest old ID by re-canonicalizing below.
@@ -59,14 +66,13 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 		}
 		remapped[old] = v
 	}
-	if app == core.AppCC {
+	if app == "cc" {
 		remapped = canonicalizeLabels(remapped)
 	}
 	res.Values = remapped
-	if app != core.AppCC {
+	if app != "cc" {
 		res.Source = src
 	}
-	res.App = app.String()
 	return res, nil
 }
 

@@ -8,6 +8,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -71,9 +72,26 @@ var ErrSubwayUnsupported = errors.New("baseline: graph exceeds Subway's 2^32-edg
 // graph due to unidentified CUDA out-of-memory errors").
 var ErrSubwayOOM = errors.New("baseline: active subgraph exceeds GPU memory")
 
-// SubwayRun executes one application with the Subway-style engine and
-// returns a core.Result comparable with EMOGI's. src is ignored for CC.
-func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayConfig) (*core.Result, error) {
+// paperApp lower-cases an algorithm registry name and accepts only the
+// paper's three applications, the ones the baselines implement.
+func paperApp(system, name string) (string, error) {
+	name = strings.ToLower(name)
+	switch name {
+	case "bfs", "sssp", "cc":
+		return name, nil
+	}
+	return "", fmt.Errorf("baseline: %s implements bfs, sssp and cc, not %q", system, name)
+}
+
+// SubwayRun executes one application, named by its algorithm registry name
+// ("bfs", "sssp" or "cc"), with the Subway-style engine and returns a
+// core.Result comparable with EMOGI's. src is ignored for CC. Any other
+// name is an error.
+func SubwayRun(dev *gpu.Device, g *graph.CSR, app string, src int, cfg SubwayConfig) (*core.Result, error) {
+	app, err := paperApp("Subway", app)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.EdgeBytes == 0 {
 		cfg = DefaultSubwayConfig()
 	}
@@ -83,14 +101,14 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 	if cfg.MaxEdges > 0 && g.NumEdges() > cfg.MaxEdges {
 		return nil, fmt.Errorf("%w: %d edges > limit %d", ErrSubwayUnsupported, g.NumEdges(), cfg.MaxEdges)
 	}
-	if app == core.AppCC && g.Directed {
+	if app == "cc" && g.Directed {
 		return nil, fmt.Errorf("baseline: CC requires an undirected graph")
 	}
-	if app == core.AppSSSP && g.Weights == nil {
+	if app == "sssp" && g.Weights == nil {
 		return nil, fmt.Errorf("baseline: SSSP requires a weighted graph")
 	}
 	n := g.NumVertices()
-	if app != core.AppCC && (src < 0 || src >= n) {
+	if app != "cc" && (src < 0 || src >= n) {
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
 
@@ -111,7 +129,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 	// generation pipeline below.
 	active := make([]bool, n)
 	switch app {
-	case core.AppCC:
+	case "cc":
 		for v := 0; v < n; v++ {
 			values.PutU32(int64(v), uint32(v))
 			active[v] = true
@@ -148,7 +166,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 		// Partition the subgraph into chunks that fit free GPU memory
 		// (real Subway's partitioned processing); without Partition an
 		// oversized frontier is an OOM, the paper's GU failure mode.
-		needW := app == core.AppSSSP
+		needW := app == "sssp"
 		budget := arena.GPUFree()
 		lo := 0
 		for lo < sub.NumActive() {
@@ -187,13 +205,12 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 		out[v] = values.U32(int64(v))
 	}
 	resSrc := src
-	if app == core.AppCC {
+	if app == "cc" {
 		resSrc = -1
 	}
 	return &core.Result{
-		App:        app.String(),
+		App:        strings.ToUpper(app),
 		Variant:    core.Merged,
-		Transport:  core.ZeroCopy, // not meaningful for Subway; edges move in bulk
 		Source:     resSrc,
 		Values:     out,
 		Iterations: iterations,
@@ -206,7 +223,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 // subgraph into GPU memory, runs the relaxation kernel on them, models the
 // chunk's transfer (overlapped when async), and releases the staging
 // buffers.
-func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, app core.App,
+func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, app string,
 	lo, hi int, values *memsys.Buffer, active []bool) error {
 
 	arena := dev.Arena()
@@ -226,7 +243,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, ap
 	}
 	defer arena.Free(dstBuf)
 	var wgtBuf *memsys.Buffer
-	if app == core.AppSSSP {
+	if app == "sssp" {
 		wgtBuf, err = arena.Alloc("subway.subwgt", memsys.SpaceGPU, nEdges*4)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrSubwayOOM, err)
@@ -274,7 +291,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, ap
 // launchSubwayKernel relaxes every edge of the staged chunk from GPU
 // memory, updating the global value array and marking updated destinations
 // active for the next iteration.
-func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo int,
+func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app string, lo int,
 	offBuf, dstBuf, wgtBuf, values *memsys.Buffer, active []bool) *gpu.KernelStats {
 
 	edgeBytes := dstBuf.Elem
@@ -282,7 +299,7 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo i
 	// Serial launch: the kernel reads source values from the live relax
 	// target and marks the host-side active slice from inside the body,
 	// both of which are unsafe under concurrent warp execution.
-	return dev.Launch("subway/"+app.String(), nAct, func(w *gpu.Warp) {
+	return dev.Launch("subway/"+strings.ToUpper(app), nAct, func(w *gpu.Warp) {
 		i := int64(w.ID())
 		start, end := w.PairU64(offBuf, i)
 		if start >= end {
@@ -323,9 +340,9 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo i
 				}
 				tgtIdx[l] = int64(dst[l])
 				switch app {
-				case core.AppSSSP:
+				case "sssp":
 					cand[l] = srcVal + wgt[l]
-				case core.AppBFS:
+				case "bfs":
 					cand[l] = srcVal + 1
 				default: // CC pushes the label itself
 					cand[l] = srcVal

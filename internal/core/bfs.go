@@ -35,14 +35,7 @@ func bfsProgram() *Program {
 // launched... is equal to the distance between the source vertex to the
 // furthest reachable vertex"). It returns each vertex's BFS level
 // (graph.InfDist for unreachable vertices).
-func BFS(dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	return BFSContext(context.Background(), dev, dg, src, variant)
-}
-
-// BFSContext is BFS with cooperative cancellation: when ctx is canceled or
-// its deadline passes, the run stops at the next round boundary and
-// returns a *CanceledError (see cancel.go for the contract).
-func BFSContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
+func BFS(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
 	prog := bfsProgram()
 	name := "bfs/" + variant.String()
 	return runProgram(ctx, dev, dg.NumVertices(), prog, src, &engineConfig{

@@ -5,6 +5,10 @@ import (
 	"fmt"
 )
 
+// Every traversal entry point takes a context.Context first. When it is
+// canceled or its deadline passes, the run stops at the next round
+// boundary and returns a *CanceledError.
+
 // ErrCanceled is the sentinel every cooperative cancellation matches:
 // errors.Is(err, ErrCanceled) holds for any traversal stopped through its
 // context, whether by explicit cancel or by deadline. The concrete error

@@ -478,7 +478,7 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 		rs.abort()
 		return nil, err
 	}
-	res := rs.finish(prog.App, cfg.variant, cfg.transport, src, values, n, iterations)
+	res := rs.finish(prog.App, cfg.variant, src, values, n, iterations)
 	if prog.NoSource {
 		res.Source = -1 // source-free programs (CC) have no source vertex
 	}
@@ -636,12 +636,12 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	return &Result{
 		App:        prog.App,
 		Variant:    MergedAligned,
-		Transport:  ZeroCopy,
 		Source:     src,
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
 		Stats:      dev.Total().Sub(statStart),
+		Policy:     h.dg.PolicyName(),
 	}, nil
 }
 
@@ -851,12 +851,12 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	return &Result{
 		App:        prog.App,
 		Variant:    MergedAligned,
-		Transport:  ZeroCopy,
 		Source:     resSrc,
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    mr.elapsed,
 		Stats:      stats,
+		Policy:     ms.dgs[0].PolicyName(),
 	}, nil
 }
 
@@ -921,7 +921,7 @@ func (rs *runState) readFlag() bool {
 
 // finish downloads the n-element 4-byte result array from values, frees
 // per-run buffers, and assembles the Result.
-func (rs *runState) finish(app string, variant Variant, transport Transport, src int, values *memsys.Buffer, n int, iterations int) *Result {
+func (rs *runState) finish(app string, variant Variant, src int, values *memsys.Buffer, n int, iterations int) *Result {
 	rs.dev.CopyToHost(int64(n) * 4)
 	out := make([]uint32, n)
 	for i := 0; i < n; i++ {
@@ -933,7 +933,6 @@ func (rs *runState) finish(app string, variant Variant, transport Transport, src
 	return &Result{
 		App:        app,
 		Variant:    variant,
-		Transport:  transport,
 		Source:     src,
 		Values:     out,
 		Iterations: iterations,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/gpu"
 	"repro/internal/graph"
 )
 
@@ -16,7 +18,7 @@ func TestHybridBFSCorrectness(t *testing.T) {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
 			src := graph.PickSources(g, 1, 47)[0]
-			res, err := h.BFS(src)
+			res, err := h.BFS(context.Background(), src)
 			if err != nil {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
@@ -24,6 +26,45 @@ func TestHybridBFSCorrectness(t *testing.T) {
 				t.Errorf("%s share=%v: %v", g.Name, share, err)
 			}
 			h.Free()
+		}
+	}
+}
+
+// TestTopologyResultsNamePolicy: the hybrid and multi-GPU topologies run
+// the static zero-copy policy and say so on every result, like the
+// single-device engine does.
+func TestTopologyResultsNamePolicy(t *testing.T) {
+	g := testGraphs()[1]
+	src := graph.PickSources(g, 1, 47)[0]
+	h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Free()
+	res, err := h.BFS(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy != "static-zc" {
+		t.Errorf("hybrid BFS: Policy = %q, want static-zc", res.Policy)
+	}
+	ms, err := NewMultiSystem([]*gpu.Device{testDevice(), testDevice()}, g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Free()
+	runs := map[string]func() (*Result, error){
+		"BFS":  func() (*Result, error) { return ms.BFS(context.Background(), src) },
+		"SSSP": func() (*Result, error) { return ms.SSSP(context.Background(), src) },
+		"CC":   func() (*Result, error) { return ms.CC(context.Background()) },
+	}
+	for app, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("multi-GPU %s: %v", app, err)
+		}
+		if res.Policy != "static-zc" {
+			t.Errorf("multi-GPU %s: Policy = %q, want static-zc", app, res.Policy)
 		}
 	}
 }
@@ -46,7 +87,7 @@ func TestHybridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.BFS(-1); err == nil {
+	if _, err := h.BFS(context.Background(), -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -85,7 +126,7 @@ func TestHybridOffloadHelpsUpToAPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := h.BFS(src)
+		res, err := h.BFS(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,9 @@ import (
 // application — the paper's three plus any Program registered with the
 // frontier engine (see engine.go and registry.go) — produces one.
 type Result struct {
-	App       string
-	Variant   Variant
-	Transport Transport
-	Source    int
+	App     string
+	Variant Variant
+	Source  int
 
 	// Values holds per-vertex output: BFS levels, SSSP distances, SSWP
 	// widths, or CC labels (graph.InfDist for unreached vertices of a
@@ -47,7 +46,7 @@ type Result struct {
 	Degraded bool `json:",omitempty"`
 
 	// Policy names the transport policy that governed the run ("static-zc",
-	// "static-uvm", "adaptive"). Empty for entry points that predate the
-	// policy layer (hybrid, multi-GPU); Transport then tells the story.
+	// "static-uvm", "adaptive"). Every topology sets it; the hybrid and
+	// multi-GPU ones always run "static-zc".
 	Policy string `json:",omitempty"`
 }

@@ -340,7 +340,7 @@ func TestServiceBatchFaultEquivalence(t *testing.T) {
 		if results[i].Degraded {
 			degradedRuns++
 		}
-		if err := emogi.Validate(g, results[i]); err != nil {
+		if err := results[i].Validate(g); err != nil {
 			t.Errorf("request %d: wrong traversal output: %v", i, err)
 		}
 		want, err := ref.Do(context.Background(), emogi.Request{

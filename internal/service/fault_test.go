@@ -88,7 +88,7 @@ func TestServiceFaultStress(t *testing.T) {
 			t.Errorf("%s/src=%d: failed despite retry+degradation: %v", o.req.Algo, o.req.Src, o.err)
 			continue
 		}
-		if err := emogi.Validate(g, o.res); err != nil {
+		if err := o.res.Validate(g); err != nil {
 			t.Errorf("%s/src=%d: wrong traversal output: %v", o.req.Algo, o.req.Src, err)
 		}
 		refReq := emogi.Request{

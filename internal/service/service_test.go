@@ -415,7 +415,7 @@ func TestServiceMetrics(t *testing.T) {
 		}
 	}
 	mustDo(Request{Dataset: "GK", Algo: "bfs", Src: 1})
-	mustDo(Request{Dataset: "GK", Algo: "bfs", Src: 1}) // cache hit
+	mustDo(Request{Dataset: "GK", Algo: "bfs", Src: 1})               // cache hit
 	svc.Do(context.Background(), Request{Dataset: "GK", Algo: "dfs"}) // error
 
 	canceled, cancel := context.WithCancel(context.Background())
@@ -459,7 +459,7 @@ func TestServiceMetrics(t *testing.T) {
 func TestServiceDatasets(t *testing.T) {
 	svc, _ := newTestService(t, Config{Concurrency: 1})
 	defer svc.Close()
-	if err := svc.AddGraph("AA", testGraph(t), emogi.WithTransport(emogi.UVM)); err != nil {
+	if err := svc.AddGraph("AA", testGraph(t), emogi.WithTransportPolicy(emogi.StaticPolicy(emogi.UVM))); err != nil {
 		t.Fatal(err)
 	}
 	ds := svc.Datasets()

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned)
+		res, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestCollectorReorderCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned); err != nil {
+	if _, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +167,7 @@ func TestCollectorTraceDroppedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned); err != nil {
+	if _, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Monitor().TraceDropped() == 0 {
@@ -192,7 +193,7 @@ func TestCollectorSurvivesStatsReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.Run(dev, dg, core.AppBFS, src, core.Merged); err != nil {
+		if _, err := core.BFS(context.Background(), dev, dg, src, core.Merged); err != nil {
 			t.Fatal(err)
 		}
 		return dev.Monitor().Snapshot().WireBytes
@@ -251,7 +252,7 @@ func TestCollectorSerialParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := core.Run(dev, dg, core.AppSSSP, src, core.MergedAligned); err != nil {
+			if _, err := core.SSSP(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
 				t.Fatal(err)
 			}
 		}

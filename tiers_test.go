@@ -135,7 +135,7 @@ func TestThreeTierTraversalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, res); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Fatalf("CXL-placed traversal wrong: %v", err)
 	}
 	if res.Stats.CXLRequests == 0 || res.Stats.CXLPayloadBytes == 0 {
@@ -150,7 +150,7 @@ func TestThreeTierTraversalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, res2); err != nil {
+	if err := res2.Validate(g); err != nil {
 		t.Fatalf("re-homed traversal wrong: %v", err)
 	}
 	if res2.Stats.CXLRequests != 0 {
@@ -184,7 +184,7 @@ func TestWithTierStackAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, res); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.CXLRequests == 0 {
@@ -271,7 +271,7 @@ func TestGPUDrivenPagingSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(g, res); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Fatal(err)
 		}
 		return res
