@@ -489,7 +489,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	for _, k := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			dev := gpu.NewDevice(uncappedGPU(emogi.V100PCIe3(0.3).GPU))
-			dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+			dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 			if err != nil {
 				b.Fatal(err)
 			}

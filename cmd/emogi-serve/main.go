@@ -64,7 +64,7 @@ func main() {
 		placement = flag.String("placement", "auto",
 			"edge-list tier placement: auto (DRAM with CXL spill), dram, or cxl")
 		transport = flag.String("transport", "static-zc",
-			"edge-list transport policy: static-zc, static-uvm, or adaptive (v1 spellings zerocopy/uvm still accepted)")
+			"edge-list transport policy: static-zc, static-uvm, or adaptive")
 		elemBytes   = flag.Int("elem", 8, "edge element bytes (4 or 8)")
 		concurrency = flag.Int("concurrency", 4, "worker goroutines executing traversals")
 		queueDepth  = flag.Int("queue-depth", 64, "admission queue depth (beyond it requests get 429)")
@@ -93,7 +93,7 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	cfg, err := parsePlatform(*platform, *scale)
+	cfg, err := emogi.PlatformByName(*platform, *scale)
 	if err != nil {
 		fatal(logger, "bad platform", err)
 	}
@@ -102,11 +102,9 @@ func main() {
 	if err != nil {
 		fatal(logger, "bad tier stack", err)
 	}
-	gpuPaging, err := parsePaging(*paging)
-	if err != nil {
+	if cfg.GPUDrivenPaging, err = emogi.ParsePaging(*paging); err != nil {
 		fatal(logger, "bad paging model", err)
 	}
-	cfg.GPUDrivenPaging = gpuPaging
 	place, err := emogi.ParsePlacement(*placement)
 	if err != nil {
 		fatal(logger, "bad placement", err)
@@ -377,7 +375,7 @@ func handleTraverse(svc *service.Service, logger *slog.Logger) http.HandlerFunc 
 		variant := emogi.MergedAligned
 		if req.Variant != "" {
 			var err error
-			if variant, err = parseVariant(req.Variant); err != nil {
+			if variant, err = emogi.ParseVariant(req.Variant); err != nil {
 				log.Warn("bad variant", "variant", req.Variant)
 				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 				return
@@ -557,41 +555,4 @@ func handleTiers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, emogi.TierStacks())
-}
-
-// parsePaging maps the -paging flag to the UVM paging model selector.
-func parsePaging(s string) (bool, error) {
-	switch strings.ToLower(s) {
-	case "cpu", "":
-		return false, nil
-	case "gpu":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown paging model %q (want cpu or gpu)", s)
-}
-
-func parseVariant(s string) (emogi.Variant, error) {
-	switch strings.ToLower(s) {
-	case "naive":
-		return emogi.Naive, nil
-	case "merged":
-		return emogi.Merged, nil
-	case "merged+aligned", "aligned", "mergedaligned":
-		return emogi.MergedAligned, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
-}
-
-func parsePlatform(s string, scale float64) (emogi.SystemConfig, error) {
-	switch strings.ToLower(s) {
-	case "v100":
-		return emogi.V100PCIe3(scale), nil
-	case "titanxp":
-		return emogi.TitanXpPCIe3(scale), nil
-	case "a100-pcie3":
-		return emogi.A100PCIe3(scale), nil
-	case "a100-pcie4", "a100":
-		return emogi.A100PCIe4(scale), nil
-	}
-	return emogi.SystemConfig{}, fmt.Errorf("unknown platform %q", s)
 }

@@ -33,7 +33,7 @@ func main() {
 		algo      = flag.String("algo", "bfs", "algorithm registry name (\"list\" prints all)")
 		variant   = flag.String("variant", "merged+aligned", "kernel variant: naive, merged, merged+aligned")
 		transport = flag.String("transport", "static-zc",
-			"edge-list transport policy: static-zc, static-uvm, or adaptive (legacy spellings zerocopy/uvm still accepted)")
+			"edge-list transport policy: static-zc, static-uvm, or adaptive")
 		scale     = flag.Float64("scale", 1.0, "dataset scale (1.0 = standard 1:1000 reduction)")
 		seed      = flag.Int64("seed", 42, "generator and source seed")
 		sources   = flag.Int("sources", 4, "number of source vertices to average over")
@@ -63,7 +63,7 @@ func main() {
 
 	// The machine: platform preset, memory-tier stack, paging model, and
 	// reorder window all land on cfg, which every path below builds from.
-	cfg, err := parsePlatform(*platform, *scale)
+	cfg, err := emogi.PlatformByName(*platform, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,12 +72,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch strings.ToLower(*paging) {
-	case "cpu", "":
-	case "gpu":
-		cfg.GPUDrivenPaging = true
-	default:
-		log.Fatalf("unknown paging model %q (want cpu or gpu)", *paging)
+	if cfg.GPUDrivenPaging, err = emogi.ParsePaging(*paging); err != nil {
+		log.Fatal(err)
 	}
 	place, err := emogi.ParsePlacement(*placement)
 	if err != nil {
@@ -117,7 +113,7 @@ func main() {
 		runMultiGPU(g, algoName, cfg, *gpus, *sources, *seed, *elemBytes)
 		return
 	}
-	v, err := parseVariant(*variant)
+	v, err := emogi.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -245,30 +241,4 @@ func printKernelLog(dev *gpu.Device) {
 			ks.Name, ks.Warps, ks.PCIeRequests,
 			float64(ks.PCIePayloadBytes)/1e3, ks.UVMMigrations, ks.Elapsed)
 	}
-}
-
-func parseVariant(s string) (emogi.Variant, error) {
-	switch strings.ToLower(s) {
-	case "naive":
-		return emogi.Naive, nil
-	case "merged":
-		return emogi.Merged, nil
-	case "merged+aligned", "aligned", "mergedaligned":
-		return emogi.MergedAligned, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
-}
-
-func parsePlatform(s string, scale float64) (emogi.SystemConfig, error) {
-	switch strings.ToLower(s) {
-	case "v100":
-		return emogi.V100PCIe3(scale), nil
-	case "titanxp":
-		return emogi.TitanXpPCIe3(scale), nil
-	case "a100-pcie3":
-		return emogi.A100PCIe3(scale), nil
-	case "a100-pcie4", "a100":
-		return emogi.A100PCIe4(scale), nil
-	}
-	return emogi.SystemConfig{}, fmt.Errorf("unknown platform %q", s)
 }

@@ -127,8 +127,7 @@ func AdaptivePolicy() TransportPolicy { return core.AdaptivePolicy() }
 func TransportPolicies() []TransportPolicy { return core.TransportPolicies() }
 
 // PolicyByName resolves a transport policy by registry name ("static-zc",
-// "static-uvm", "adaptive"; the v1 spellings "zerocopy", "zc", "emogi",
-// "uvm" are accepted as aliases).
+// "static-uvm", "adaptive").
 func PolicyByName(name string) (TransportPolicy, error) { return core.PolicyByName(name) }
 
 // Scale is the repository's standard dataset reduction: every dataset and
@@ -291,7 +290,6 @@ type loadConfig struct {
 	policy    TransportPolicy
 	elemBytes int
 	placement Placement
-	tiers     TierStack
 }
 
 // WithTransportPolicy selects the transport policy governing the graph's
@@ -308,16 +306,6 @@ func WithTransportPolicy(p TransportPolicy) LoadOption {
 // experiments, the default) or 4 (the Subway comparison, Table 3).
 func WithElemBytes(n int) LoadOption {
 	return func(c *loadConfig) { c.elemBytes = n }
-}
-
-// WithTierStack replaces the system's memory-tier stack before placing the
-// graph — the load-time route to a CXL-class external tier on a system
-// built without one. The stack's HBM and DRAM capacities must match the
-// system's; Load fails otherwise. Only the external tier is taken from the
-// stack — the device keeps its own HBM and DRAM tiers, fault hook included.
-// Systems that set GPU.Tiers up front don't need this option.
-func WithTierStack(ts TierStack) LoadOption {
-	return func(c *loadConfig) { c.tiers = ts }
 }
 
 // WithPlacement selects which host-side tier(s) the edge and weight lists
@@ -337,12 +325,7 @@ func (s *System) Load(g *Graph, opts ...LoadOption) (*DeviceGraph, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.tiers != nil {
-		if err := s.dev.SetTiers(c.tiers); err != nil {
-			return nil, fmt.Errorf("emogi: WithTierStack: %w", err)
-		}
-	}
-	return core.UploadPolicyPlaced(s.dev, g, c.policy, c.elemBytes, c.placement)
+	return core.Upload(s.dev, g, c.policy, c.elemBytes, c.placement)
 }
 
 // Unload releases a loaded graph's buffers. It is idempotent: unloading
@@ -368,12 +351,6 @@ type Request struct {
 	// discipline (§5.2). Zero-copy runs are unaffected; for UVM and routed
 	// policy runs it makes results independent of what ran before.
 	Cold bool
-	// Placement, when not PlaceAuto, re-homes the graph's edge and weight
-	// segments onto the named host-side tier before the run (sticky: the
-	// graph keeps the new homes afterward). The data movement is charged
-	// over the CXL link. PlaceAuto (the zero value) keeps the graph's
-	// current homes — the two-tier behavior.
-	Placement Placement
 	// Policy, when non-nil, overrides the graph's loaded transport policy
 	// for this request only. An override whose static transport matches
 	// the graph's is a no-op; any other override runs routed (every
@@ -416,11 +393,6 @@ func (s *System) Do(ctx context.Context, req Request) (*Result, error) {
 	var err error
 	s.dev.Exclusive(func() {
 		defer s.bindTrace(ctx)()
-		if req.Placement != PlaceAuto {
-			if err = core.ApplyPlacement(s.dev, req.Graph, req.Placement); err != nil {
-				return
-			}
-		}
 		if req.Cold {
 			s.dev.ResetUVMResidency()
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/memsys"
 )
 
 // smallScale keeps the public-API tests fast: ~1:50000 of the paper.
@@ -269,8 +270,8 @@ func TestLoadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dg.Transport != ZeroCopy || dg.EdgeBytes != 8 {
-		t.Errorf("default Load = %v/%d, want zerocopy/8", dg.Transport, dg.EdgeBytes)
+	if dg.Policy.Name() != "static-zc" || dg.Edges.Space != memsys.SpaceHostPinned || dg.EdgeBytes != 8 {
+		t.Errorf("default Load = %s/%v/%d, want static-zc/zerocopy/8", dg.Policy.Name(), dg.Edges.Space, dg.EdgeBytes)
 	}
 	sys.Unload(dg)
 
@@ -278,9 +279,9 @@ func TestLoadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dg.Transport != UVM || dg.EdgeBytes != 4 || dg.PolicyName() != "static-uvm" {
-		t.Errorf("Load with options = %v/%d/%s, want uvm/4/static-uvm",
-			dg.Transport, dg.EdgeBytes, dg.PolicyName())
+	if dg.Policy.Name() != "static-uvm" || dg.Edges.Space != memsys.SpaceUVM || dg.EdgeBytes != 4 {
+		t.Errorf("Load with options = %s/%v/%d, want static-uvm/uvm/4",
+			dg.Policy.Name(), dg.Edges.Space, dg.EdgeBytes)
 	}
 	sys.Unload(dg)
 }

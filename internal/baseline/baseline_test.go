@@ -284,7 +284,7 @@ func TestHALOReducesMigrationsUnderPressure(t *testing.T) {
 	mem := int64(128 * 1024)
 
 	devPlain := testDevice(mem)
-	dgPlain, err := core.Upload(devPlain, g, core.UVM, 8)
+	dgPlain, err := core.Upload(devPlain, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app string, src int) (*core.Result, 
 	perm := graph.LocalityOrder(g)
 	rg := graph.Reorder(g, perm)
 
-	dg, err := core.Upload(dev, rg, core.UVM, 8)
+	dg, err := core.Upload(dev, rg, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: HALO upload: %w", err)
 	}

@@ -36,7 +36,7 @@ func AblationUVMBlock(ds *Datasets) (*Table, error) {
 	}
 	for _, block := range []int{1, 8, 16, 32, 64} {
 		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, core.UVM, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ func AblationWorkerSize(ds *Datasets) (*Table, error) {
 	}
 	for _, worker := range []int{4, 8, 16, 32} {
 		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func AblationBalance(ds *Datasets) (*Table, error) {
 		Header: []string{"kernel", "critical-path reqs", "payload MB", "time ms"},
 	}
 	dev := newV100(cfg)
-	dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+	dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func AblationBalance(ds *Datasets) (*Table, error) {
 		return nil, err
 	}
 	devB := newV100(cfg)
-	dgB, err := core.Upload(devB, g, core.ZeroCopy, 8)
+	dgB, err := core.Upload(devB, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func AblationCompression(ds *Datasets) (*Table, error) {
 		src := ds.Sources(sym)[0]
 
 		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 	src := ds.Sources("GK")[0]
 
 	devU := newV100(cfg)
-	dgU, err := core.Upload(devU, g, core.UVM, 8)
+	dgU, err := core.Upload(devU, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 		gcfg := emogi.V100PCIe3(cfg.Scale).GPU
 		gcfg.ThrashSensitivity = sens
 		dev := cfg.Device(gcfg)
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +315,7 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		hbm, dram := gcfg.Tiers.HBM(), gcfg.Tiers.DRAM()
 		gcfg.Tiers = memsys.TwoTier(hbm.CapacityBytes, dram.CapacityBytes, hbm.Mem, dram.Mem, link)
 		devE := cfg.Device(gcfg)
-		dgE, err := core.Upload(devE, g, core.ZeroCopy, 8)
+		dgE, err := core.Upload(devE, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +325,7 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		}
 
 		devU := cfg.Device(gcfg)
-		dgU, err := core.Upload(devU, g, core.UVM, 8)
+		dgU, err := core.Upload(devU, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +359,7 @@ func AblationEdgeCentric(ds *Datasets) (*Table, error) {
 		src := ds.Sources(sym)[0]
 
 		devV := newV100(cfg)
-		dg, err := core.Upload(devV, g, core.ZeroCopy, 8)
+		dg, err := core.Upload(devV, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -403,7 +403,7 @@ func AblationDirectionOpt(ds *Datasets) (*Table, error) {
 		src := ds.Sources(sym)[0]
 
 		devP := newV100(cfg)
-		dgP, err := core.Upload(devP, g, core.ZeroCopy, 8)
+		dgP, err := core.Upload(devP, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +412,7 @@ func AblationDirectionOpt(ds *Datasets) (*Table, error) {
 			return nil, err
 		}
 		devD := newV100(cfg)
-		dgD, err := core.Upload(devD, g, core.ZeroCopy, 8)
+		dgD, err := core.Upload(devD, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func Claims(ds *Datasets) (*Table, error) {
 	src := ds.Sources("GK")[0]
 	run := func(transport core.Transport, v core.Variant) *core.Result {
 		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, transport, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
 		if err != nil {
 			panic(err)
 		}
@@ -110,7 +110,7 @@ func Claims(ds *Datasets) (*Table, error) {
 	srcS := ds.Sources("SK")[0]
 	runOn := func(g2 *graph.CSR, src2 int, transport core.Transport, v core.Variant) *core.Result {
 		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g2, transport, 8)
+		dg, err := core.Upload(dev, g2, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
 		if err != nil {
 			panic(err)
 		}

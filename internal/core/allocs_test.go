@@ -89,7 +89,7 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 	g.InitWeights(7, 8, 72)
 	for _, rw := range []int{0, 16} {
 		dev := allocDevice(rw)
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSteadyStateRoundAllocsBatch(t *testing.T) {
 	g.InitWeights(7, 8, 72)
 	for _, rw := range []int{0, 16} {
 		dev := allocDevice(rw)
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

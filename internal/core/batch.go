@@ -464,13 +464,9 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// graph's base transport take the historical fast path, anything else
 	// routes per partition per round.
 	pol, routed := effectivePolicy(ctx, dg)
-	labelTransport := dg.Transport.String()
-	if routed {
-		labelTransport = pol.Name()
-	}
 	dev.BeginRun(gpu.RunLabels{App: prog.App,
 		Variant:   fmt.Sprintf("batch%d/%s", k, variant),
-		Transport: labelTransport, Graph: dg.Graph.Name})
+		Transport: pol.Name(), Graph: dg.Graph.Name})
 	defer dev.EndRun()
 	clockStart := dev.Clock()
 	statStart := dev.Total()
@@ -581,10 +577,6 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		EdgeScans:      br.scans,
 		EdgeScansSaved: br.saved,
 	}
-	policyName := dg.PolicyName()
-	if pol != nil {
-		policyName = pol.Name()
-	}
 	for q, ln := range br.lanes {
 		if ln.err != nil {
 			out.Results[q] = BatchItem{Err: ln.err}
@@ -604,7 +596,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 			Elapsed:    elapsed,
 			Stats:      stats,
 			BatchSize:  k,
-			Policy:     policyName,
+			Policy:     pol.Name(),
 		}}
 	}
 	freeAll()

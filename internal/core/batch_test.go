@@ -13,7 +13,7 @@ import (
 func singleRunRef(t *testing.T, g *graph.CSR, name string, src int, variant Variant) *Result {
 	t.Helper()
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBatchDuplicateSources(t *testing.T) {
 	g.InitWeights(4, 1, 64)
 	src := graph.PickSources(g, 1, 3)[0]
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func FuzzBatchLanes(f *testing.F) {
 		}
 
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

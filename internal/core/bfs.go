@@ -40,7 +40,6 @@ func BFS(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant
 	name := "bfs/" + variant.String()
 	return runProgram(ctx, dev, dg.NumVertices(), prog, src, &engineConfig{
 		variant:   variant,
-		transport: dg.Transport,
 		graphName: dg.Graph.Name,
 		valueName: "bfs.labels",
 		roundName: name,

@@ -58,7 +58,7 @@ func cancelTestGraph(t *testing.T) (*graph.CSR, int) {
 func TestCancelBeforeFirstRound(t *testing.T) {
 	g, src := cancelTestGraph(t)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 func TestCancelMidRunThenRerun(t *testing.T) {
 	g, src := cancelTestGraph(t)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func goldenRecordByName(t *testing.T, name string) goldenRecord {
 func TestCancelDeadline(t *testing.T) {
 	g, src := cancelTestGraph(t)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCancelSpecialtyTopologies(t *testing.T) {
 func TestUnknownAlgorithmListsNames(t *testing.T) {
 	dev := testDevice()
 	g, src := cancelTestGraph(t)
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

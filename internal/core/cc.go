@@ -46,7 +46,6 @@ func CC(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, variant Variant) 
 	name := "cc/" + variant.String()
 	return runProgram(ctx, dev, dg.NumVertices(), prog, 0, &engineConfig{
 		variant:     variant,
-		transport:   dg.Transport,
 		graphName:   dg.Graph.Name,
 		valueName:   "cc.comp",
 		snapName:    "cc.compread",

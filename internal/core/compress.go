@@ -256,7 +256,6 @@ func BFSCompressed(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGr
 	}
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
-		transport:    ZeroCopy,
 		graphName:    g.Name,
 		labelVariant: "compressed",
 		valueName:    "bfs.labels",

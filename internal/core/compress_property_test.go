@@ -63,7 +63,7 @@ func TestCompressedBFSAgreesWithPlainProperty(t *testing.T) {
 		src := graph.PickSources(g, 1, seed)[0]
 
 		devA := testDevice()
-		dgA, err := Upload(devA, g, ZeroCopy, 8)
+		dgA, err := uploadStatic(devA, g, ZeroCopy, 8)
 		if err != nil {
 			return false
 		}

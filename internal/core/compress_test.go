@@ -119,7 +119,7 @@ func TestCompressedMovesFewerBytes(t *testing.T) {
 	src := graph.PickSources(g, 1, 1)[0]
 
 	devPlain := testDevice()
-	dgPlain, err := Upload(devPlain, g, ZeroCopy, 8)
+	dgPlain, err := uploadStatic(devPlain, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

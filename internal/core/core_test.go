@@ -35,6 +35,12 @@ func smallDevice(memBytes int64) *gpu.Device {
 	})
 }
 
+// uploadStatic loads g under the static policy for t with automatic
+// placement: the historical layout most tests run on.
+func uploadStatic(dev *gpu.Device, g *graph.CSR, t Transport, edgeBytes int) (*DeviceGraph, error) {
+	return Upload(dev, g, StaticPolicyFor(t), edgeBytes, PlaceAuto)
+}
+
 // testGraphs returns small instances of every generator family, weighted.
 func testGraphs() []*graph.CSR {
 	gs := []*graph.CSR{
@@ -68,7 +74,7 @@ func TestVariantAndTransportStrings(t *testing.T) {
 func TestUploadLayout(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
@@ -92,7 +98,7 @@ func TestUploadLayout(t *testing.T) {
 	}
 	dg.Free(dev)
 
-	dgU, err := Upload(dev, g, UVM, 4)
+	dgU, err := uploadStatic(dev, g, UVM, 4)
 	if err != nil {
 		t.Fatalf("Upload UVM: %v", err)
 	}
@@ -111,15 +117,18 @@ func TestUploadLayout(t *testing.T) {
 func TestUploadErrors(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	if _, err := Upload(dev, g, ZeroCopy, 6); err == nil {
+	if _, err := uploadStatic(dev, g, ZeroCopy, 6); err == nil {
 		t.Errorf("bad element width accepted")
 	}
 	bad := &graph.CSR{Offsets: []int64{0, 5}, Dst: []uint32{0}}
-	if _, err := Upload(dev, bad, ZeroCopy, 8); err == nil {
+	if _, err := uploadStatic(dev, bad, ZeroCopy, 8); err == nil {
 		t.Errorf("invalid graph accepted")
 	}
+	if _, err := Upload(dev, g, nil, 8, PlaceAuto); err == nil {
+		t.Errorf("nil transport policy accepted")
+	}
 	tiny := smallDevice(1024) // too small for the vertex list
-	if _, err := Upload(tiny, g, ZeroCopy, 8); err == nil {
+	if _, err := uploadStatic(tiny, g, ZeroCopy, 8); err == nil {
 		t.Errorf("expected GPU OOM for the vertex list")
 	}
 }
@@ -130,7 +139,7 @@ func TestBFSCorrectnessMatrix(t *testing.T) {
 	for _, g := range testGraphs() {
 		for _, transport := range []Transport{ZeroCopy, UVM} {
 			dev := testDevice()
-			dg, err := Upload(dev, g, transport, 8)
+			dg, err := uploadStatic(dev, g, transport, 8)
 			if err != nil {
 				t.Fatalf("%s/%s: upload: %v", g.Name, transport, err)
 			}
@@ -156,7 +165,7 @@ func TestBFSCorrectnessMatrix(t *testing.T) {
 func TestSSSPCorrectnessMatrix(t *testing.T) {
 	for _, g := range testGraphs() {
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatalf("%s: upload: %v", g.Name, err)
 		}
@@ -176,7 +185,7 @@ func TestSSSPCorrectnessMatrix(t *testing.T) {
 func TestSSSPUVMTransport(t *testing.T) {
 	g := testGraphs()[1]
 	dev := testDevice()
-	dg, err := Upload(dev, g, UVM, 8)
+	dg, err := uploadStatic(dev, g, UVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestCCCorrectnessMatrix(t *testing.T) {
 		}
 		for _, transport := range []Transport{ZeroCopy, UVM} {
 			dev := testDevice()
-			dg, err := Upload(dev, g, transport, 8)
+			dg, err := uploadStatic(dev, g, transport, 8)
 			if err != nil {
 				t.Fatalf("%s: upload: %v", g.Name, err)
 			}
@@ -225,7 +234,7 @@ func TestCCCorrectnessMatrix(t *testing.T) {
 func TestCCRejectsDirected(t *testing.T) {
 	g := graph.Web("sk", 300, 10, 1)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +246,7 @@ func TestCCRejectsDirected(t *testing.T) {
 func TestBFSBadSource(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := BFS(context.Background(), dev, dg, -1, Merged); err == nil {
 		t.Errorf("negative source accepted")
 	}
@@ -252,7 +261,7 @@ func TestBFSBadSource(t *testing.T) {
 func TestSSSPRequiresWeights(t *testing.T) {
 	g := graph.Urand("u", 200, 8, 1) // no weights
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := SSSP(context.Background(), dev, dg, 0, Merged); err == nil {
 		t.Errorf("unweighted SSSP accepted")
 	}
@@ -261,7 +270,7 @@ func TestSSSPRequiresWeights(t *testing.T) {
 func TestBFSWith4ByteEdges(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 4)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,7 @@ func TestBFSWith4ByteEdges(t *testing.T) {
 func TestBFSIterationsEqualDepth(t *testing.T) {
 	g := graph.Urand("u", 400, 8, 3)
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	src := graph.PickSources(g, 1, 1)[0]
 	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
@@ -307,7 +316,7 @@ func TestRequestCountOrdering(t *testing.T) {
 		reqs := make(map[Variant]uint64)
 		for _, variant := range allVariants {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +346,7 @@ func TestAlignedRequestSizeShift(t *testing.T) {
 		frac := make(map[Variant]float64)
 		for _, variant := range []Variant{Naive, Merged, MergedAligned} {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +370,7 @@ func TestAlignedRequestSizeShift(t *testing.T) {
 func TestZeroCopyAmplificationBound(t *testing.T) {
 	for _, g := range testGraphs() {
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +395,7 @@ func TestZeroCopyAmplificationBound(t *testing.T) {
 func TestAppDispatcher(t *testing.T) {
 	g := testGraphs()[1]
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 	zc := func(v Variant) func(*graph.CSR, int) ([]uint32, error) {
 		return func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -46,7 +46,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		{"merged+aligned", zc(MergedAligned)},
 		{"uvm", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, UVM, 8)
+			dg, err := uploadStatic(dev, g, UVM, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +58,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"4-byte-edges", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 4)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -70,7 +70,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"worker8", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +82,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"worker16-unaligned", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +94,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"balanced", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +130,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"direction-optimized", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}

@@ -122,7 +122,6 @@ func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, 
 	}
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
-		transport:    ZeroCopy,
 		graphName:    g.Name,
 		labelVariant: "edgecentric",
 		valueName:    "ecbfs.labels",

@@ -83,7 +83,7 @@ func TestEdgeCentricStreamsEverything(t *testing.T) {
 	}
 
 	devV := testDevice()
-	dg, err := Upload(devV, g, ZeroCopy, 8)
+	dg, err := uploadStatic(devV, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,12 +209,11 @@ type engineRound struct {
 type kernelFunc func(r *engineRound)
 
 // engineConfig selects how a Program runs on one device: the kernel, the
-// reported variant/transport, buffer names (kept stable so arena layout —
+// reported variant, buffer names (kept stable so arena layout —
 // and therefore request alignment — matches the historical
 // implementations), and telemetry labels.
 type engineConfig struct {
 	variant      Variant
-	transport    Transport
 	graphName    string
 	labelVariant string // RunLabels.Variant (defaults to variant.String())
 	valueName    string
@@ -225,7 +224,8 @@ type engineConfig struct {
 	// dg, when set, enables the transport-policy layer for this run: the
 	// engine resolves the effective policy (graph's loaded policy or a
 	// context override) and, for routed policies, drives per-partition
-	// decisions at round boundaries. Nil keeps the historical static path.
+	// decisions at round boundaries. Nil is a kernel streaming its own
+	// pinned layout; it runs static-zc.
 	dg *DeviceGraph
 	// postRound observes each finished round (host-side only; it must not
 	// touch the device). Direction-optimized BFS uses it to recount the
@@ -411,12 +411,8 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	// no density accounting — bit-for-bit the pre-policy engine); anything
 	// else routes per partition per round.
 	pol, routed := effectivePolicy(ctx, cfg.dg)
-	labelTransport := cfg.transport.String()
-	if routed {
-		labelTransport = pol.Name()
-	}
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: labelVariant,
-		Transport: labelTransport, Graph: cfg.graphName})
+		Transport: pol.Name(), Graph: cfg.graphName})
 	defer dev.EndRun()
 	rs, err := newRunState(dev)
 	if err != nil {
@@ -482,11 +478,7 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	if prog.NoSource {
 		res.Source = -1 // source-free programs (CC) have no source vertex
 	}
-	if pol != nil {
-		res.Policy = pol.Name()
-	} else if cfg.dg != nil {
-		res.Policy = cfg.dg.PolicyName()
-	}
+	res.Policy = pol.Name()
 	return res, nil
 }
 
@@ -588,7 +580,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	}
 	dev := h.dev
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
-		Transport: ZeroCopy.String(), Graph: g.Name})
+		Transport: h.dg.Policy.Name(), Graph: g.Name})
 	defer dev.EndRun()
 	statStart := dev.Total()
 
@@ -641,7 +633,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
 		Stats:      dev.Total().Sub(statStart),
-		Policy:     h.dg.PolicyName(),
+		Policy:     h.dg.Policy.Name(),
 	}, nil
 }
 
@@ -759,7 +751,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	nd := len(ms.devs)
 	for _, dev := range ms.devs {
 		dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "multi-gpu",
-			Transport: ZeroCopy.String(), Graph: g.Name})
+			Transport: ms.dgs[0].Policy.Name(), Graph: g.Name})
 	}
 	defer func() {
 		for _, dev := range ms.devs {
@@ -856,7 +848,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 		Iterations: iterations,
 		Elapsed:    mr.elapsed,
 		Stats:      stats,
-		Policy:     ms.dgs[0].PolicyName(),
+		Policy:     ms.dgs[0].Policy.Name(),
 	}, nil
 }
 

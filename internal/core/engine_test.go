@@ -85,7 +85,7 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 
 	dev := testDevice()
 	dev.SetTelemetry(rec)
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestEngineMatrix(t *testing.T) {
 					Workers: workers,
 					Tiers:   v100Tiers(0, 0),
 				})
-				dg, err := Upload(dev, g, transport, 8)
+				dg, err := uploadStatic(dev, g, transport, 8)
 				if err != nil {
 					t.Fatalf("%s/%s: upload: %v", a.Name, transport, err)
 				}
@@ -291,7 +291,7 @@ func TestAlgorithmRegistry(t *testing.T) {
 
 	g := graph.Urand("gu", 300, 8, 2)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSSWPCorrectnessMatrix(t *testing.T) {
 	for _, g := range testGraphs() {
 		for _, transport := range []Transport{ZeroCopy, UVM} {
 			dev := testDevice()
-			dg, err := Upload(dev, g, transport, 8)
+			dg, err := uploadStatic(dev, g, transport, 8)
 			if err != nil {
 				t.Fatalf("%s/%s: upload: %v", g.Name, transport, err)
 			}
@@ -359,7 +359,7 @@ func TestSSWPCorrectnessMatrix(t *testing.T) {
 func TestSSWPErrors(t *testing.T) {
 	g := graph.Urand("u", 200, 8, 1) // no weights
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := SSWP(context.Background(), dev, dg, 0, Merged); err == nil {
 		t.Errorf("unweighted SSWP accepted")
 	}
@@ -395,7 +395,7 @@ func FuzzEngineConvergence(f *testing.F) {
 			t.Skip("directed graph for undirected-only algorithm")
 		}
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,4 +413,48 @@ func FuzzEngineConvergence(f *testing.F) {
 				a.Name, res.Iterations, n)
 		}
 	})
+}
+
+// TestEveryAlgorithmNamesItsPolicy: every registered algorithm reports the
+// transport policy that ran, on Result.Policy and on its run's telemetry
+// label. A static-uvm override moves every algorithm that reads the loaded
+// edge list onto UVM (it migrates pages); the compressed and edge-centric
+// kernels stream their own pinned layouts, so they run static-zc either way
+// and say so.
+func TestEveryAlgorithmNamesItsPolicy(t *testing.T) {
+	g := testGraphs()[1]
+	src := graph.PickSources(g, 1, 47)[0]
+	rec := newRecordingTelemetry()
+	dev := testDevice()
+	dev.SetTelemetry(rec)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range AlgorithmNames() {
+		for _, override := range []TransportPolicy{nil, StaticPolicyFor(UVM)} {
+			dev.ResetUVMResidency()
+			first := len(rec.runs)
+			ctx := WithPolicyOverride(context.Background(), override)
+			res, err := RunAlgo(ctx, dev, dg, name, src, MergedAligned)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := "static-zc"
+			if res.Stats.UVMMigrations > 0 {
+				want = "static-uvm"
+			}
+			if override == nil && want != "static-zc" {
+				t.Errorf("%s on a zero-copy graph migrated %d pages", name, res.Stats.UVMMigrations)
+			}
+			if res.Policy != want {
+				t.Errorf("%s (override %v): Policy = %q, want %q", name, override, res.Policy, want)
+			}
+			for _, l := range rec.runs[first:] {
+				if l.Transport != res.Policy {
+					t.Errorf("%s: run label transport = %q, Result.Policy = %q", name, l.Transport, res.Policy)
+				}
+			}
+		}
+	}
 }

@@ -18,7 +18,7 @@ func TestUploadHostMemoryExhausted(t *testing.T) {
 	dev := gpu.NewDevice(gpu.Config{
 		Tiers: v100Tiers(0, 1024), // host cannot hold the edge list
 	})
-	if _, err := Upload(dev, g, ZeroCopy, 8); err == nil {
+	if _, err := uploadStatic(dev, g, ZeroCopy, 8); err == nil {
 		t.Errorf("expected host OOM")
 	}
 }
@@ -32,7 +32,7 @@ func TestBFSZeroUVMCache(t *testing.T) {
 	dev := gpu.NewDevice(gpu.Config{
 		Tiers: v100Tiers(need, 0),
 	})
-	dg, err := Upload(dev, g, UVM, 8)
+	dg, err := uploadStatic(dev, g, UVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSingleVertexGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestIsolatedSourceBFS(t *testing.T) {
 	// vertices unreached.
 	g := graph.FromEdges("iso", 8, []graph.Edge{{Src: 1, Dst: 2}}, false)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAllVariantsOnPathGraph(t *testing.T) {
 	g.InitWeights(1, 8, 72)
 	for _, variant := range allVariants {
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestMisalignedEdgeBufferBase(t *testing.T) {
 	for i, d := range g.Dst {
 		edges.PutU64(int64(i), uint64(d))
 	}
-	dg := &DeviceGraph{Graph: g, Transport: ZeroCopy, EdgeBytes: 8,
+	dg := &DeviceGraph{Graph: g, Policy: StaticPolicyFor(ZeroCopy), EdgeBytes: 8,
 		Offsets: offsets, Edges: edges}
 	src := graph.PickSources(g, 1, 1)[0]
 	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
@@ -180,7 +180,7 @@ func TestSelfLoopHeavyInput(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 0}, {Src: 1, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}}
 	g := graph.FromEdges("loops", 3, edges, false)
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRepeatedRunsIndependent(t *testing.T) {
 	// traffic.
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, err := Upload(dev, g, UVM, 8)
+	dg, err := uploadStatic(dev, g, UVM, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestTransientFaultSurfacesTyped(t *testing.T) {
 	g, src := cancelTestGraph(t)
 	inj := readFaultInjector(t, 21, 0.05) // ~300 faults over GK/bfs's 6017 requests
 	dev := faultDevice(inj, 0)
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRetryUntilCleanMatchesGolden(t *testing.T) {
 	// arrives within a few dozen retries. Deterministic for this seed.
 	inj := readFaultInjector(t, 17, 0.0005)
 	dev := faultDevice(inj, 0)
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) (uint64, error) {
 		inj := readFaultInjector(t, 33, 0.01)
 		dev := faultDevice(inj, workers)
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestAllocFaultSurfacesTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := testDevice()
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		}
 		run("bfs", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +91,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("sssp", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +100,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		if !g.Directed {
 			run("cc", func() (*Result, error) {
 				dev := testDevice()
-				dg, err := Upload(dev, g, ZeroCopy, 8)
+				dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 				if err != nil {
 					return nil, err
 				}
@@ -114,7 +114,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		// in the repository.
 		run("bfs-uvm", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, UVM, 8)
+			dg, err := uploadStatic(dev, g, UVM, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -122,7 +122,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-naive", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +130,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-worker8", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +138,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-worker16-unaligned", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +146,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-balanced", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +170,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-pushpull", func() (*Result, error) {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +206,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		bsrcs := graph.PickSources(g, 4, 71)
 		for _, app := range []string{"bfs", "sssp", "sswp"} {
 			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				t.Fatalf("GK/%s-batch4: %v", app, err)
 			}

@@ -117,18 +117,14 @@ func ParsePlacement(s string) (Placement, error) {
 // §4.2: offsets (the vertex list) in GPU memory, edge destinations and
 // weights in host memory (pinned or managed).
 type DeviceGraph struct {
-	Graph     *graph.CSR
-	Transport Transport
+	Graph *graph.CSR
 	// EdgeBytes is the edge element width: 8 in the paper's main
 	// experiments, 4 for the Subway comparison (Table 3).
 	EdgeBytes int
 
-	// Policy is the transport policy the graph was loaded under. Nil is
-	// equivalent to the static policy for Transport (the pre-policy code
-	// path, kept for direct Upload callers and old tests). Transport always
-	// holds the policy's base transport — the space Edges/Weights were
-	// actually allocated in — so static runs are untouched by the policy
-	// layer.
+	// Policy is the transport policy the graph was loaded under (never
+	// nil). Its base transport (policyBase) is the space Edges and Weights
+	// were allocated in, fixed at Upload.
 	Policy TransportPolicy
 
 	Offsets *memsys.Buffer // GPU, 8-byte elements, len n+1
@@ -140,16 +136,6 @@ type DeviceGraph struct {
 	freed bool
 }
 
-// PolicyName returns the name of the transport policy governing this graph:
-// the loaded policy's name, or the static policy name matching Transport
-// when the graph was uploaded without one.
-func (dg *DeviceGraph) PolicyName() string {
-	if dg.Policy != nil {
-		return dg.Policy.Name()
-	}
-	return StaticPolicyFor(dg.Transport).Name()
-}
-
 // NumVertices returns |V|.
 func (dg *DeviceGraph) NumVertices() int { return dg.Graph.NumVertices() }
 
@@ -158,24 +144,6 @@ func (dg *DeviceGraph) NumVertices() int { return dg.Graph.NumVertices() }
 // Listing 2's `& ~0xF` — or 32 for 4-byte).
 func (dg *DeviceGraph) ElemsPerCacheLine() int64 {
 	return int64(memsys.CacheLineBytes / dg.EdgeBytes)
-}
-
-// Upload places g into the device's memory system. The offsets array
-// always goes to GPU memory ("GPU memory is sufficient for the vertex
-// list", §4.2); edges and weights go to pinned host memory (ZeroCopy) or
-// managed memory (UVM).
-func Upload(dev *gpu.Device, g *graph.CSR, transport Transport, edgeBytes int) (*DeviceGraph, error) {
-	return UploadPolicy(dev, g, StaticPolicyFor(transport), edgeBytes)
-}
-
-// UploadPolicy places g into the device's memory system under a transport
-// policy. The edge and weight lists are allocated in the policy's base
-// space: pinned host memory unless the policy is statically UVM-bound.
-// Routed (adaptive) policies start from pinned memory and rebind segments
-// per round at run time. Edges are homed per PlaceAuto: host DRAM with
-// CXL-tier spill only when DRAM is full.
-func UploadPolicy(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, edgeBytes int) (*DeviceGraph, error) {
-	return UploadPolicyPlaced(dev, g, policy, edgeBytes, PlaceAuto)
 }
 
 // planHomes computes the per-segment tier homes for a host-side allocation
@@ -272,14 +240,19 @@ func capHomesToHostFree(arena *memsys.Arena, homes []memsys.Space, size int64) [
 	return homes
 }
 
-// UploadPolicyPlaced is UploadPolicy with explicit tier placement for the
-// edge and weight lists (see Placement). On devices without a CXL tier only
+// Upload places g into the device's memory system under a transport
+// policy; the policy and placement fix the graph's memory for its lifetime.
+// The offsets array always goes to GPU memory ("GPU memory is sufficient
+// for the vertex list", §4.2). The edge and weight lists go to the policy's
+// base space: managed memory when the policy is statically UVM-bound,
+// pinned host memory otherwise (routed policies rebind segments per round
+// at run time on top of the pinned base). placement homes them across the
+// host-side tiers (see Placement); on devices without a CXL tier only
 // PlaceAuto and PlaceDRAM are valid, and both are the historical layout.
-func UploadPolicyPlaced(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, edgeBytes int, placement Placement) (*DeviceGraph, error) {
+func Upload(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, edgeBytes int, placement Placement) (*DeviceGraph, error) {
 	if policy == nil {
-		policy = StaticPolicyFor(ZeroCopy)
+		return nil, fmt.Errorf("core: Upload requires a transport policy")
 	}
-	transport := policyBase(policy)
 	if edgeBytes != 4 && edgeBytes != 8 {
 		return nil, fmt.Errorf("core: unsupported edge element width %d", edgeBytes)
 	}
@@ -290,7 +263,7 @@ func UploadPolicyPlaced(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, e
 	e := g.NumEdges()
 
 	space := memsys.SpaceHostPinned
-	if transport == UVM {
+	if policyBase(policy) == UVM {
 		space = memsys.SpaceUVM
 	}
 	arena := dev.Arena()
@@ -316,7 +289,6 @@ func UploadPolicyPlaced(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, e
 	}
 	dg := &DeviceGraph{
 		Graph:     g,
-		Transport: transport,
 		Policy:    policy,
 		EdgeBytes: edgeBytes,
 		Offsets:   offsets,
@@ -371,67 +343,6 @@ func UploadPolicyPlaced(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, e
 	// Explicit GPU allocations changed: refresh the UVM caching capacity.
 	dev.ResetUVMResidency()
 	return dg, nil
-}
-
-// ApplyPlacement re-homes an already-uploaded graph's edge and weight
-// segments to match the requested placement, charging the data movement over
-// the CXL link in whichever direction it crosses. PlaceAuto is sticky: it
-// keeps whatever homes the graph already has. The move fails (leaving the
-// already-moved prefix in place) if the destination tier runs out of
-// capacity.
-func ApplyPlacement(dev *gpu.Device, dg *DeviceGraph, placement Placement) error {
-	if placement == PlaceAuto {
-		return nil
-	}
-	arena := dev.Arena()
-	if arena.CXLTier() == nil {
-		if placement == PlaceCXL {
-			return fmt.Errorf("core: placement %q requires a CXL tier, and the device has none", placement)
-		}
-		return nil // PlaceDRAM on a two-tier device is already the layout
-	}
-	target := memsys.SpaceHostPinned
-	if placement == PlaceCXL {
-		target = memsys.SpaceCXL
-	}
-	var toDRAM, toCXL int64
-	rehome := func(b *memsys.Buffer) error {
-		if b == nil {
-			return nil
-		}
-		for s := 0; s < b.Segments(); s++ {
-			cur := b.SegmentHome(s)
-			if cur == target {
-				continue
-			}
-			n := b.Size() - int64(s)*memsys.SegmentBytes
-			if n > memsys.SegmentBytes {
-				n = memsys.SegmentBytes
-			}
-			if err := arena.SetSegmentHome(b, s, target); err != nil {
-				return fmt.Errorf("core: re-homing %q segment %d: %w", b.Name, s, err)
-			}
-			if target == memsys.SpaceCXL {
-				toCXL += n
-			} else {
-				toDRAM += n
-			}
-		}
-		return nil
-	}
-	if err := rehome(dg.Edges); err != nil {
-		return err
-	}
-	if err := rehome(dg.Weights); err != nil {
-		return err
-	}
-	if toDRAM > 0 {
-		dev.PromoteFromCXL(toDRAM)
-	}
-	if toCXL > 0 {
-		dev.DemoteToCXL(toCXL)
-	}
-	return nil
 }
 
 // Free releases the device graph's buffers. It is idempotent: freeing an

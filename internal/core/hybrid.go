@@ -59,7 +59,7 @@ func NewHybridSystem(dev *gpu.Device, g *graph.CSR, edgeBytes int, cfg HybridCon
 	if cfg.CPUScanBytesPerSec <= 0 {
 		return nil, fmt.Errorf("core: CPU scan rate must be positive")
 	}
-	dg, err := Upload(dev, g, ZeroCopy, edgeBytes)
+	dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), edgeBytes, PlaceAuto)
 	if err != nil {
 		return nil, err
 	}

@@ -31,40 +31,45 @@ func TestHybridBFSCorrectness(t *testing.T) {
 }
 
 // TestTopologyResultsNamePolicy: the hybrid and multi-GPU topologies run
-// the static zero-copy policy and say so on every result, like the
-// single-device engine does.
+// the static zero-copy policy and say so on every result and on every
+// run's telemetry label, like the single-device engine does.
 func TestTopologyResultsNamePolicy(t *testing.T) {
 	g := testGraphs()[1]
 	src := graph.PickSources(g, 1, 47)[0]
-	h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
+	rec := newRecordingTelemetry()
+	devs := []*gpu.Device{testDevice(), testDevice(), testDevice()}
+	for _, dev := range devs {
+		dev.SetTelemetry(rec)
+	}
+	h, err := NewHybridSystem(devs[0], g, 8, DefaultHybridConfig(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Free()
-	res, err := h.BFS(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy != "static-zc" {
-		t.Errorf("hybrid BFS: Policy = %q, want static-zc", res.Policy)
-	}
-	ms, err := NewMultiSystem([]*gpu.Device{testDevice(), testDevice()}, g, 8)
+	ms, err := NewMultiSystem(devs[1:], g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ms.Free()
 	runs := map[string]func() (*Result, error){
-		"BFS":  func() (*Result, error) { return ms.BFS(context.Background(), src) },
-		"SSSP": func() (*Result, error) { return ms.SSSP(context.Background(), src) },
-		"CC":   func() (*Result, error) { return ms.CC(context.Background()) },
+		"hybrid BFS":     func() (*Result, error) { return h.BFS(context.Background(), src) },
+		"multi-GPU BFS":  func() (*Result, error) { return ms.BFS(context.Background(), src) },
+		"multi-GPU SSSP": func() (*Result, error) { return ms.SSSP(context.Background(), src) },
+		"multi-GPU CC":   func() (*Result, error) { return ms.CC(context.Background()) },
 	}
-	for app, run := range runs {
+	for what, run := range runs {
+		first := len(rec.runs)
 		res, err := run()
 		if err != nil {
-			t.Fatalf("multi-GPU %s: %v", app, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		if res.Policy != "static-zc" {
-			t.Errorf("multi-GPU %s: Policy = %q, want static-zc", app, res.Policy)
+			t.Errorf("%s: Policy = %q, want static-zc", what, res.Policy)
+		}
+		for _, l := range rec.runs[first:] {
+			if l.Transport != res.Policy {
+				t.Errorf("%s: run label transport = %q, want %q", what, l.Transport, res.Policy)
+			}
 		}
 	}
 }

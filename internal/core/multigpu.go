@@ -46,7 +46,7 @@ func NewMultiSystem(devs []*gpu.Device, g *graph.CSR, edgeBytes int) (*MultiSyst
 	}
 	ms := &MultiSystem{devs: devs, graph: g}
 	for _, dev := range devs {
-		dg, err := Upload(dev, g, ZeroCopy, edgeBytes)
+		dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), edgeBytes, PlaceAuto)
 		if err != nil {
 			return nil, fmt.Errorf("core: multi-GPU upload: %w", err)
 		}

@@ -137,7 +137,7 @@ func TestMultiGPUSingleMatchesPlainValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	plain, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)

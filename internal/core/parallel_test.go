@@ -79,7 +79,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						run := func(workers int) *Result {
 							dev := workerDevice(workers)
-							dg, err := Upload(dev, g, transport, 8)
+							dg, err := uploadStatic(dev, g, transport, 8)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -114,14 +114,14 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 		run  func(dev *gpu.Device) (*Result, error)
 	}{
 		{"worker8", func(dev *gpu.Device) (*Result, error) {
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
 			return BFSWithWorker(context.Background(), dev, dg, src, 8, true)
 		}},
 		{"balanced", func(dev *gpu.Device) (*Result, error) {
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +142,7 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 			return BFSEdgeCentric(context.Background(), dev, ec, src)
 		}},
 		{"direction-optimized", func(dev *gpu.Device) (*Result, error) {
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}

@@ -519,17 +519,12 @@ func TransportPolicies() []TransportPolicy {
 	}
 }
 
-// PolicyByName resolves a policy by registry name. The v1 transport
-// spellings ("zerocopy", "zc", "emogi", "uvm") are accepted as aliases of
-// their static policies.
+// PolicyByName resolves a policy by registry name.
 func PolicyByName(name string) (TransportPolicy, error) {
-	switch name {
-	case "static-zc", "zerocopy", "zc", "emogi":
-		return StaticPolicyFor(ZeroCopy), nil
-	case "static-uvm", "uvm":
-		return StaticPolicyFor(UVM), nil
-	case "adaptive":
-		return AdaptivePolicy(), nil
+	for _, p := range TransportPolicies() {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
 	return nil, fmt.Errorf("core: unknown transport policy %q (have static-zc, static-uvm, adaptive)", name)
 }
@@ -566,20 +561,19 @@ func PolicyOverrideFrom(ctx context.Context) TransportPolicy {
 // the static fast path. The fast path requires a static policy whose
 // transport matches the space the graph was actually allocated in;
 // everything else routes. memsys guarantees the router granule exists for
-// any buffer, so routing needs no re-upload.
+// any buffer, so routing needs no re-upload. A nil dg is a kernel that
+// streams its own pinned layout (compressed, edge-centric): it always runs
+// static-zc.
 func effectivePolicy(ctx context.Context, dg *DeviceGraph) (pol TransportPolicy, routed bool) {
 	if dg == nil {
-		return nil, false
+		return StaticPolicyFor(ZeroCopy), false
 	}
 	pol = dg.Policy
 	if o := PolicyOverrideFrom(ctx); o != nil {
 		pol = o
 	}
-	if pol == nil {
-		return nil, false
-	}
 	if t, ok := pol.Static(); ok {
-		return pol, t != dg.Transport
+		return pol, t != policyBase(dg.Policy)
 	}
 	return pol, true
 }

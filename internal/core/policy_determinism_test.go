@@ -70,7 +70,7 @@ func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, vari
 	dev := adaptDevice(workers)
 	log := &decisionLog{}
 	dev.SetTelemetry(log)
-	dg, err := UploadPolicy(dev, g, AdaptivePolicy(), 8)
+	dg, err := Upload(dev, g, AdaptivePolicy(), 8, PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestAdaptiveBatchedMatchesSingle(t *testing.T) {
 		dev := adaptDevice(1)
 		log := &decisionLog{}
 		dev.SetTelemetry(log)
-		dg, err := UploadPolicy(dev, g, AdaptivePolicy(), 8)
+		dg, err := Upload(dev, g, AdaptivePolicy(), 8, PlaceAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestAdaptiveFaultRetryReplaysDecisions(t *testing.T) {
 	})
 	log := &decisionLog{}
 	dev.SetTelemetry(log)
-	dg, err := UploadPolicy(dev, g, AdaptivePolicy(), 8)
+	dg, err := Upload(dev, g, AdaptivePolicy(), 8, PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestColdCachesEvictsStagedSegments(t *testing.T) {
 	g := spec.Build(0.05, 42)
 	src := graph.PickSources(g, 1, 71)[0]
 	dev := adaptDevice(1)
-	dg, err := UploadPolicy(dev, g, AdaptivePolicy(), 8)
+	dg, err := Upload(dev, g, AdaptivePolicy(), 8, PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	rt.maxLanes = cfg.MaxConcurrentLanes
 	size := dg.Edges.Size()
 	base := ChoiceZeroCopy
-	if dg.Transport == UVM {
+	if policyBase(dg.Policy) == UVM {
 		base = ChoiceUVM
 	}
 	for i := range rt.parts {

@@ -81,7 +81,6 @@ func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph
 	// ("bfs/pull" vs "bfs/push" entries).
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
-		transport:    dg.Transport,
 		graphName:    g.Name,
 		labelVariant: "pushpull",
 		valueName:    "dobfs.labels",

@@ -14,7 +14,7 @@ func TestDirectionOptimizedCorrectness(t *testing.T) {
 			continue
 		}
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestDirectionOptimizedCorrectness(t *testing.T) {
 func TestDirectionOptimizedRejectsDirected(t *testing.T) {
 	g := graph.Web("w", 300, 8, 1)
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, 0, DefaultPushPullConfig()); err == nil {
 		t.Errorf("directed graph accepted")
 	}
@@ -41,7 +41,7 @@ func TestDirectionOptimizedRejectsDirected(t *testing.T) {
 func TestDirectionOptimizedBadSource(t *testing.T) {
 	g := testGraphs()[1]
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, -1, DefaultPushPullConfig()); err == nil {
 		t.Errorf("bad source accepted")
 	}
@@ -55,7 +55,7 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 	src := graph.PickSources(g, 1, 1)[0]
 
 	devD := testDevice()
-	dgD, _ := Upload(devD, g, ZeroCopy, 8)
+	dgD, _ := uploadStatic(devD, g, ZeroCopy, 8)
 	do, err := BFSDirectionOptimized(context.Background(), devD, dgD, src, DefaultPushPullConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 	}
 
 	devP := testDevice()
-	dgP, _ := Upload(devP, g, ZeroCopy, 8)
+	dgP, _ := uploadStatic(devP, g, ZeroCopy, 8)
 	push, err := BFS(context.Background(), devP, dgP, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +92,13 @@ func TestDirectionOptimizedAllPushMatchesPlain(t *testing.T) {
 	src := graph.PickSources(g, 1, 3)[0]
 
 	devA := testDevice()
-	dgA, _ := Upload(devA, g, ZeroCopy, 8)
+	dgA, _ := uploadStatic(devA, g, ZeroCopy, 8)
 	a, err := BFSDirectionOptimized(context.Background(), devA, dgA, src, PushPullConfig{PullThreshold: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	devB := testDevice()
-	dgB, _ := Upload(devB, g, ZeroCopy, 8)
+	dgB, _ := uploadStatic(devB, g, ZeroCopy, 8)
 	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func TestReorderWindowZeroMatchesGolden(t *testing.T) {
 		}},
 	} {
 		dev := reorderDevice(0, 0)
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestReorderWindowZeroMatchesGolden(t *testing.T) {
 	// records.
 	bsrcs := graph.PickSources(g, 4, 71)
 	dev := reorderDevice(0, 0)
-	dg, err := Upload(dev, g, ZeroCopy, 8)
+	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestReorderDeterminism(t *testing.T) {
 			a := LookupAlgorithm(app)
 			run := func(workers int) *Result {
 				dev := reorderDevice(workers, window)
-				dg, err := Upload(dev, g, ZeroCopy, 8)
+				dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", g.Name, app, err)
 				}
@@ -236,7 +236,7 @@ func TestReorderDeterminism(t *testing.T) {
 	}
 	runBatch := func(workers int) *BatchOutcome {
 		dev := reorderDevice(workers, window)
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestReorderConservation(t *testing.T) {
 			a := LookupAlgorithm(app)
 			run := func(window int) *Result {
 				dev := reorderDevice(1, window)
-				dg, err := Upload(dev, g, ZeroCopy, 8)
+				dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", g.Name, app, err)
 				}
@@ -324,7 +324,7 @@ func FuzzReorderWindow(f *testing.F) {
 		}
 		run := func(window int) *Result {
 			dev := reorderDevice(1, window)
-			dg, err := Upload(dev, g, ZeroCopy, 8)
+			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,7 +55,6 @@ func SSSP(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, varian
 	name := "sssp/" + variant.String()
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:     variant,
-		transport:   dg.Transport,
 		graphName:   dg.Graph.Name,
 		valueName:   "sssp.dist",
 		snapName:    "sssp.distread",

@@ -55,7 +55,6 @@ func SSWP(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, varian
 	name := "sswp/" + variant.String()
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:     variant,
-		transport:   dg.Transport,
 		graphName:   dg.Graph.Name,
 		valueName:   "sswp.width",
 		snapName:    "sswp.widthread",

@@ -37,7 +37,7 @@ func TestOversubscriptionSpillsToCXL(t *testing.T) {
 		edgeBytes := g.NumEdges() * 8
 		hostCap := edgeBytes/2 + 4096 // roughly half the edge list fits
 		dev := threeTierDevice(hostCap, 4*edgeBytes, false)
-		dg, err := UploadPolicyPlaced(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
+		dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
 		if err != nil {
 			t.Fatalf("%s: upload onto oversubscribed host: %v", g.Name, err)
 		}
@@ -77,7 +77,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	src := graph.PickSources(g, 1, 43)[0]
 
 	devD := threeTierDevice(0, 0, false) // uncapped
-	dgD, err := UploadPolicyPlaced(devD, g, StaticPolicyFor(ZeroCopy), 8, PlaceDRAM)
+	dgD, err := Upload(devD, g, StaticPolicyFor(ZeroCopy), 8, PlaceDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	}
 
 	devC := threeTierDevice(0, 0, false)
-	dgC, err := UploadPolicyPlaced(devC, g, StaticPolicyFor(ZeroCopy), 8, PlaceCXL)
+	dgC, err := Upload(devC, g, StaticPolicyFor(ZeroCopy), 8, PlaceCXL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,61 +111,6 @@ func TestPlacementForcedCXL(t *testing.T) {
 		if resC.Values[i] != resD.Values[i] {
 			t.Fatalf("values diverge at %d: CXL %d vs DRAM %d", i, resC.Values[i], resD.Values[i])
 		}
-	}
-}
-
-// TestApplyPlacementMoves re-homes a loaded graph between DRAM and CXL and
-// checks accounting and traversal exactness across the moves.
-func TestApplyPlacementMoves(t *testing.T) {
-	t.Parallel()
-	g := testGraphs()[1]
-	src := graph.PickSources(g, 1, 43)[0]
-	dev := threeTierDevice(0, 0, false)
-	dg, err := UploadPolicyPlaced(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyPlacement(dev, dg, PlaceCXL); err != nil {
-		t.Fatalf("ApplyPlacement(cxl): %v", err)
-	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
-		t.Fatalf("after PlaceCXL, %d edge bytes still DRAM-homed", got)
-	}
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(g); err != nil {
-		t.Fatalf("post-move traversal wrong: %v", err)
-	}
-	if err := ApplyPlacement(dev, dg, PlaceDRAM); err != nil {
-		t.Fatalf("ApplyPlacement(dram): %v", err)
-	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceCXL); got != 0 {
-		t.Fatalf("after PlaceDRAM, %d edge bytes still CXL-homed", got)
-	}
-	if got := dev.Arena().CXLUsed(); got != 0 {
-		t.Fatalf("CXL accounting nonzero after move back: %d", got)
-	}
-	res2, err := BFS(context.Background(), dev, dg, src, MergedAligned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res2.Validate(g); err != nil {
-		t.Fatalf("round-trip traversal wrong: %v", err)
-	}
-
-	// On a two-tier device PlaceCXL must fail loudly, PlaceDRAM is a no-op.
-	dev2 := testDevice()
-	dg2, err := Upload(dev2, g, ZeroCopy, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyPlacement(dev2, dg2, PlaceCXL); err == nil {
-		t.Error("ApplyPlacement(cxl) on a two-tier device should fail")
-	}
-	if err := ApplyPlacement(dev2, dg2, PlaceDRAM); err != nil {
-		t.Errorf("ApplyPlacement(dram) on a two-tier device should be a no-op, got %v", err)
 	}
 }
 
@@ -195,7 +140,7 @@ func TestPagingDeterminism(t *testing.T) {
 	}
 	run := func(workers int, gpuDriven bool) outcome {
 		dev := pagingDevice(workers, gpuDriven)
-		dg, err := Upload(dev, g, UVM, 8)
+		dg, err := uploadStatic(dev, g, UVM, 8)
 		if err != nil {
 			return outcome{err: err}
 		}
@@ -217,7 +162,7 @@ func TestPagingDeterminism(t *testing.T) {
 		}
 		// Batched lanes must reproduce the individual runs' values exactly.
 		dev := pagingDevice(0, gpuDriven)
-		dg, err := Upload(dev, g, UVM, 8)
+		dg, err := uploadStatic(dev, g, UVM, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +219,7 @@ func TestWeightedSpillHomes(t *testing.T) {
 	edgeBytes := g.NumEdges() * 8
 	hostCap := edgeBytes/2 + 4096 // roughly half the edge list fits
 	dev := threeTierDevice(hostCap, 4*edgeBytes, false)
-	dg, err := UploadPolicyPlaced(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
+	dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
 	if err != nil {
 		t.Fatalf("weighted spill upload failed: %v", err)
 	}
@@ -326,7 +271,7 @@ func TestWeightsJustOverflowHomes(t *testing.T) {
 	edgeBytes := g.NumEdges() * 8
 	hostCap := edgeBytes + 4096 // edges fit, edges+weights do not
 	dev := threeTierDevice(hostCap, 4*edgeBytes, false)
-	dg, err := UploadPolicyPlaced(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
+	dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), 8, PlaceAuto)
 	if err != nil {
 		t.Fatalf("weights-overflow upload failed: %v", err)
 	}

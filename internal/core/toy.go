@@ -106,7 +106,7 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 
 	warps := elems / tile
 	dev.BeginRun(gpu.RunLabels{App: "toy", Variant: pattern.String(),
-		Transport: transport.String(), Graph: "1d-array"})
+		Transport: StaticPolicyFor(transport).Name(), Graph: "1d-array"})
 	defer dev.EndRun()
 	clock0 := dev.Clock()
 	stats0 := dev.Total()

@@ -76,7 +76,6 @@ func BFSWithWorker(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src in
 	}
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      variant,
-		transport:    dg.Transport,
 		graphName:    dg.Graph.Name,
 		labelVariant: labelVariant,
 		valueName:    "bfs.labels",
@@ -173,7 +172,6 @@ func BFSBalanced(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int,
 	}
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
-		transport:    dg.Transport,
 		graphName:    dg.Graph.Name,
 		labelVariant: "balanced",
 		valueName:    "bfs.labels",

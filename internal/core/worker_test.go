@@ -13,7 +13,7 @@ func TestBFSWithWorkerCorrectness(t *testing.T) {
 		for _, worker := range []int{4, 8, 16, 32} {
 			for _, aligned := range []bool{false, true} {
 				dev := testDevice()
-				dg, err := Upload(dev, g, ZeroCopy, 8)
+				dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -32,7 +32,7 @@ func TestBFSWithWorkerCorrectness(t *testing.T) {
 func TestBFSWithWorkerBadArgs(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := BFSWithWorker(context.Background(), dev, dg, 0, 5, true); err == nil {
 		t.Errorf("worker size 5 accepted")
 	}
@@ -51,7 +51,7 @@ func TestWorkerSizeRequestShrink(t *testing.T) {
 	var prevReqs uint64
 	for _, worker := range []int{32, 16, 8, 4} {
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +74,13 @@ func TestWorker32MatchesMergedAligned(t *testing.T) {
 	src := graph.PickSources(g, 1, 31)[0]
 
 	devA := testDevice()
-	dgA, _ := Upload(devA, g, ZeroCopy, 8)
+	dgA, _ := uploadStatic(devA, g, ZeroCopy, 8)
 	a, err := BFSWithWorker(context.Background(), devA, dgA, src, 32, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devB := testDevice()
-	dgB, _ := Upload(devB, g, ZeroCopy, 8)
+	dgB, _ := uploadStatic(devB, g, ZeroCopy, 8)
 	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestBFSBalancedCorrectness(t *testing.T) {
 	for _, g := range testGraphs() {
 		src := graph.PickSources(g, 1, 37)[0]
 		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
+		dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestBFSBalancedCorrectness(t *testing.T) {
 func TestBFSBalancedBadArgs(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
+	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	if _, err := BFSBalanced(context.Background(), dev, dg, 0, 16); err == nil {
 		t.Errorf("split below warp size accepted")
 	}
@@ -137,13 +137,13 @@ func TestBalancedShortensCriticalPath(t *testing.T) {
 	g := graph.FromEdges("star", n, edges, false)
 
 	devPlain := testDevice()
-	dgPlain, _ := Upload(devPlain, g, ZeroCopy, 8)
+	dgPlain, _ := uploadStatic(devPlain, g, ZeroCopy, 8)
 	plain, err := BFS(context.Background(), devPlain, dgPlain, 0, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devBal := testDevice()
-	dgBal, _ := Upload(devBal, g, ZeroCopy, 8)
+	dgBal, _ := uploadStatic(devBal, g, ZeroCopy, 8)
 	bal, err := BFSBalanced(context.Background(), devBal, dgBal, 0, 256)
 	if err != nil {
 		t.Fatal(err)

@@ -268,11 +268,11 @@ type Device struct {
 	uvmgr *uvm.Manager
 	mon   pcie.Monitor
 
-	// Hot-path views of cfg.Tiers, resolved by useTiers whenever the stack
-	// is installed so the coalescer, the roofline fold, and the copy paths
-	// never search the stack: the HBM and host-DRAM service models, the
-	// DRAM tier's link (PCIe, carrying any fault hook), and the external
-	// tier (nil on two-tier stacks).
+	// Hot-path views of cfg.Tiers, resolved once by NewDevice so the
+	// coalescer, the roofline fold, and the copy paths never search the
+	// stack: the HBM and host-DRAM service models, the DRAM tier's link
+	// (PCIe, carrying any fault hook), and the external tier (nil on
+	// two-tier stacks).
 	hbm  memsys.DRAMModel
 	dram memsys.DRAMModel
 	link pcie.LinkConfig
@@ -349,8 +349,9 @@ func NewDevice(cfg Config) *Device {
 	if err != nil {
 		panic("gpu: " + err.Error()) // unreachable: the stack was validated above
 	}
-	d := &Device{cfg: cfg, arena: arena}
-	d.useTiers(cfg.Tiers)
+	d := &Device{cfg: cfg, arena: arena,
+		hbm: cfg.Tiers.HBM().Mem, dram: cfg.Tiers.DRAM().Mem,
+		link: cfg.Tiers.DRAM().Link, cxl: cfg.Tiers.CXL()}
 	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), cfg.GPUDrivenPaging))
 	return d
 }
@@ -372,53 +373,9 @@ func (d *Device) uvmCapacityPages() int {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Tiers returns the device's memory-tier stack. Callers must not modify
-// it; change the external tier with SetTiers.
+// Tiers returns the device's memory-tier stack, fixed at NewDevice.
+// Callers must not modify it.
 func (d *Device) Tiers() memsys.TierStack { return d.cfg.Tiers }
-
-// useTiers installs ts (owned by the device) as the memory hierarchy and
-// resolves the hot-path views of it. ts must validate.
-func (d *Device) useTiers(ts memsys.TierStack) {
-	d.cfg.Tiers = ts
-	d.hbm = ts.HBM().Mem
-	d.dram = ts.DRAM().Mem
-	d.link = ts.DRAM().Link
-	d.cxl = ts.CXL()
-}
-
-// SetTiers replaces the device's external tier at run time — the load-time
-// path behind emogi.WithTierStack. The simulated hardware does not change
-// size mid-flight, so the argument's HBM and DRAM capacities must match the
-// device's; the device keeps its own HBM and DRAM tiers (the DRAM link's
-// fault hook included) and takes only the external tier from ts. Attaching
-// a CXL tier enables SpaceCXL homes; detaching one is refused while any
-// bytes are still homed there.
-func (d *Device) SetTiers(ts memsys.TierStack) error {
-	if err := ts.Validate(); err != nil {
-		return err
-	}
-	hbm, dram := d.cfg.Tiers.HBM(), d.cfg.Tiers.DRAM()
-	if got := ts.HBM().CapacityBytes; got != hbm.CapacityBytes {
-		return fmt.Errorf("gpu: tier stack HBM capacity %d does not match the device's %d",
-			got, hbm.CapacityBytes)
-	}
-	if got := ts.DRAM().CapacityBytes; got != dram.CapacityBytes {
-		return fmt.Errorf("gpu: tier stack DRAM capacity %d does not match the device's %d",
-			got, dram.CapacityBytes)
-	}
-	if ts.CXL() == nil {
-		if used := d.arena.CXLUsed(); used > 0 {
-			return fmt.Errorf("gpu: cannot detach the CXL tier with %d bytes still homed there", used)
-		}
-	}
-	next := memsys.TierStack{*hbm, *dram}
-	if cxl := ts.CXL(); cxl != nil {
-		next = append(next, *cxl)
-	}
-	d.useTiers(next)
-	d.arena.AttachCXLTier(d.cxl)
-	return nil
-}
 
 // Exclusive runs fn while holding the device's run mutex. The simulated
 // device, like a real CUDA context, is a single-caller resource: its
@@ -615,17 +572,11 @@ func (d *Device) StageSegmentsCXL(n int64) time.Duration {
 	return d.bulkLink(d.cxlLink(), n, true, pcie.ClassCXL)
 }
 
-// PromoteFromCXL models re-homing n bytes from the CXL-class tier into host
-// DRAM (the adaptive policy's host-cache placement). The expander read over
-// the CXL link is the bottleneck; the host-DRAM write is absorbed.
+// PromoteFromCXL models copying n bytes from the CXL-class tier into a
+// host-DRAM cache copy (the adaptive policy's host-cache substrate). The
+// expander read over the CXL link is the bottleneck; the host-DRAM write is
+// absorbed.
 func (d *Device) PromoteFromCXL(n int64) time.Duration {
-	return d.bulkLink(d.cxlLink(), n, true, pcie.ClassCXL)
-}
-
-// DemoteToCXL models re-homing n bytes from host DRAM into the CXL-class
-// tier (explicit Request-level placement moves). The expander write over the
-// CXL link is the bottleneck, mirroring PromoteFromCXL.
-func (d *Device) DemoteToCXL(n int64) time.Duration {
 	return d.bulkLink(d.cxlLink(), n, true, pcie.ClassCXL)
 }
 

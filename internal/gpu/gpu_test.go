@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/memsys"
-	"repro/internal/pcie"
 )
 
 func TestDeviceDefaults(t *testing.T) {
@@ -30,49 +29,6 @@ func TestNewDeviceRequiresTiers(t *testing.T) {
 		}
 	}()
 	NewDevice(Config{})
-}
-
-// failAll is a fault hook that fails every zero-copy read.
-type failAll struct{}
-
-func (failAll) RequestFault(uint64, int, uint64, int) pcie.RequestOutcome { return pcie.ReqFail }
-func (failAll) WireScale() float64                                        { return 1 }
-func (failAll) SpikePenalty() time.Duration                               { return 0 }
-
-// TestSetTiersKeepsDeviceTiers: SetTiers takes only the external tier from
-// its argument. The device's own DRAM link — fault hook included — stays,
-// so Tiers() and the link the coalescer charges agree.
-func TestSetTiersKeepsDeviceTiers(t *testing.T) {
-	link := pcie.Gen3x16()
-	link.Faults = failAll{}
-	d := NewDevice(Config{Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), link)})
-	healthy := memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Single(), pcie.Gen4x16())
-	if err := d.SetTiers(memsys.ThreeTierCXL(healthy, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	ts := d.Tiers()
-	if !ts.HasCXL() || d.Arena().CXLTier() == nil {
-		t.Fatal("SetTiers did not attach the CXL tier")
-	}
-	if dram := ts.DRAM(); dram.Link.Faults != link.Faults || dram.Link.Name != link.Name ||
-		dram.Mem != memsys.DDR4Quad() {
-		t.Errorf("SetTiers replaced the device's DRAM tier: %+v", dram)
-	}
-	buf := d.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 4096)
-	ks := d.Launch("k", 1, func(w *Warp) {
-		var idx [WarpSize]int64
-		for i := range idx {
-			idx[i] = int64(i)
-		}
-		w.GatherU32(buf, &idx, MaskFull)
-	})
-	if ks.FaultedReads == 0 {
-		t.Error("the device's fault hook stopped firing after SetTiers")
-	}
-	capped := memsys.TwoTier(1<<20, 0, memsys.HBM2V100(), memsys.DDR4Quad(), link)
-	if err := d.SetTiers(capped); err == nil {
-		t.Error("SetTiers accepted an HBM capacity mismatch")
-	}
 }
 
 func TestLaunchAdvancesClock(t *testing.T) {

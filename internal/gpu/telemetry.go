@@ -19,7 +19,7 @@ import (
 type RunLabels struct {
 	App       string // "BFS", "SSSP", "CC", "toy", ...
 	Variant   string // kernel access variant, e.g. "Merged+Aligned"
-	Transport string // "zerocopy" or "uvm"
+	Transport string // effective transport policy: "static-zc", "static-uvm", "adaptive"
 	Graph     string // dataset name
 }
 

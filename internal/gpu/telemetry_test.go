@@ -49,7 +49,7 @@ func TestTelemetryHooksFire(t *testing.T) {
 		t.Fatalf("Telemetry() did not return the attached sink")
 	}
 
-	d.BeginRun(RunLabels{App: "test", Variant: "v", Transport: "zerocopy", Graph: "g"})
+	d.BeginRun(RunLabels{App: "test", Variant: "v", Transport: "static-zc", Graph: "g"})
 	buf := d.Arena().MustAlloc("buf", memsys.SpaceHostPinned, 1<<12)
 	defer d.Arena().Free(buf)
 
@@ -99,7 +99,7 @@ func TestTelemetryHooksFire(t *testing.T) {
 // with no sink attached, the hook call sites must not allocate at all.
 func TestDisabledTelemetryHooksDoNotAllocate(t *testing.T) {
 	d := telemetryTestDevice(1)
-	labels := RunLabels{App: "BFS", Variant: "Merged+Aligned", Transport: "zerocopy", Graph: "GK"}
+	labels := RunLabels{App: "BFS", Variant: "Merged+Aligned", Transport: "static-zc", Graph: "GK"}
 	allocs := testing.AllocsPerRun(100, func() {
 		d.BeginRun(labels)
 		d.EmitRound("bfs", 3, d.Clock())

@@ -30,7 +30,7 @@ const (
 	// host memory, but reached over the (higher-latency) CXL tier link.
 	// Buffers are rarely allocated wholly in it; segments of DRAM-based
 	// buffers are homed there when the working set spills past host DRAM
-	// (see Buffer.SetSegmentHome and the tier stack in tier.go).
+	// (see WithSegmentHomes and the tier stack in tier.go).
 	SpaceCXL
 )
 
@@ -101,8 +101,8 @@ type Buffer struct {
 	// segHome, when non-nil, records each SegmentBytes-sized segment's home
 	// tier space — where the segment's backing bytes physically live. Nil
 	// (the default) means every segment is homed in Space. Placement across
-	// a tier stack (DRAM-first with spill to CXL) sets entries to SpaceCXL;
-	// accounting moves with them through Arena.SetSegmentHome.
+	// a tier stack (DRAM-first with spill to CXL) sets entries to SpaceCXL
+	// at allocation (WithSegmentHomes); homes never change afterward.
 	segHome []Space
 }
 
@@ -468,9 +468,9 @@ func (a *Arena) Free(b *Buffer) {
 		if x == b {
 			a.buffers = append(a.buffers[:i], a.buffers[i+1:]...)
 			if b.segHome != nil {
-				// Segment homes may have diverged from the base space
-				// (spill placement, request-level re-homing): release each
-				// segment against the capacity it is currently charged to.
+				// Segment homes may differ from the base space (spill
+				// placement): release each segment against the capacity
+				// it is charged to.
 				for s := 0; s < b.Segments(); s++ {
 					a.uncharge(b.SegmentHome(s), b.segmentBytes(s))
 				}
@@ -486,54 +486,8 @@ func (a *Arena) Free(b *Buffer) {
 	panic("memsys: Free of buffer not owned by arena")
 }
 
-// AttachCXLTier attaches an external CXL-class tier to the arena: SpaceCXL
-// homes become allocatable against its capacity, and its link/memory models
-// price accesses to data homed there. Attaching nil detaches the tier.
-func (a *Arena) AttachCXLTier(t *Tier) {
-	a.cxlTier = t
-	if t != nil {
-		a.CXLCapacity = t.CapacityBytes
-	} else {
-		a.CXLCapacity = 0
-	}
-}
-
 // CXLTier returns the attached external tier descriptor, or nil.
 func (a *Arena) CXLTier() *Tier { return a.cxlTier }
-
-// SetSegmentHome re-homes segment seg of b to the given tier space, moving
-// its capacity accounting: the segment's bytes are released from the old
-// home's pool and charged to the new one (failing with ErrOutOfMemory when
-// the destination is full, leaving accounting unchanged). The buffer's
-// backing bytes do not move — homes describe where data physically lives in
-// the simulated hierarchy; the transfer cost of moving it is charged by the
-// caller (gpu.Device bulk copies).
-func (a *Arena) SetSegmentHome(b *Buffer, seg int, home Space) error {
-	if seg < 0 || seg >= b.Segments() {
-		return fmt.Errorf("memsys: segment %d out of range for buffer %q (%d segments)",
-			seg, b.Name, b.Segments())
-	}
-	if home != SpaceHostPinned && home != SpaceCXL {
-		return fmt.Errorf("memsys: segment home must be a host-side tier space, got %s", home)
-	}
-	old := b.SegmentHome(seg)
-	if old == home {
-		return nil
-	}
-	n := b.segmentBytes(seg)
-	if err := a.charge(home, n); err != nil {
-		return err
-	}
-	a.uncharge(old, n)
-	if b.segHome == nil {
-		b.segHome = make([]Space, b.Segments())
-		for i := range b.segHome {
-			b.segHome[i] = b.HomeAt(int64(i) * SegmentBytes)
-		}
-	}
-	b.segHome[seg] = home
-	return nil
-}
 
 // GPUUsed returns the bytes currently allocated in GPU space.
 func (a *Arena) GPUUsed() int64 { return a.gpuUsed }

@@ -182,7 +182,7 @@ func NewTieredArena(ts TierStack) (*Arena, error) {
 		HostCapacity: ts.DRAM().CapacityBytes,
 	}
 	if cxl := ts.CXL(); cxl != nil {
-		a.AttachCXLTier(cxl)
+		a.cxlTier, a.CXLCapacity = cxl, cxl.CapacityBytes
 	}
 	return a, nil
 }

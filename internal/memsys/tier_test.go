@@ -152,48 +152,3 @@ func TestWithSegmentHomesRollback(t *testing.T) {
 		t.Errorf("failed allocs leaked accounting: host %d cxl %d", a.HostUsed(), a.CXLUsed())
 	}
 }
-
-func TestSetSegmentHomeMovesAccounting(t *testing.T) {
-	two := TwoTier(0, 8*SegmentBytes, HBM2V100(), DDR4Quad(), pcie.Gen3x16())
-	a, err := NewTieredArena(ThreeTierCXL(two, 2*SegmentBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := a.Alloc("b", SpaceHostPinned, 4*SegmentBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetSegmentHome(b, 1, SpaceCXL); err != nil {
-		t.Fatal(err)
-	}
-	if a.HostUsed() != 3*SegmentBytes || a.CXLUsed() != SegmentBytes {
-		t.Errorf("after move: host %d cxl %d", a.HostUsed(), a.CXLUsed())
-	}
-	// Moving back restores.
-	if err := a.SetSegmentHome(b, 1, SpaceHostPinned); err != nil {
-		t.Fatal(err)
-	}
-	if a.HostUsed() != 4*SegmentBytes || a.CXLUsed() != 0 {
-		t.Errorf("after move back: host %d cxl %d", a.HostUsed(), a.CXLUsed())
-	}
-	// CXL tier is 2 segments: the third move must fail and leave accounting
-	// untouched.
-	if err := a.SetSegmentHome(b, 0, SpaceCXL); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetSegmentHome(b, 1, SpaceCXL); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetSegmentHome(b, 2, SpaceCXL); err == nil {
-		t.Error("move beyond CXL capacity should fail")
-	}
-	if a.CXLUsed() != 2*SegmentBytes {
-		t.Errorf("CXLUsed after refused move = %d", a.CXLUsed())
-	}
-	if err := a.SetSegmentHome(b, 9, SpaceCXL); err == nil {
-		t.Error("out-of-range segment should fail")
-	}
-	if err := a.SetSegmentHome(b, 0, SpaceGPU); err == nil {
-		t.Error("GPU home should fail")
-	}
-}

@@ -144,8 +144,7 @@ type Request struct {
 	// fixed-variant specialty kernels).
 	Variant emogi.Variant
 	// Transport, when set, names the transport policy this request runs
-	// under ("static-zc", "static-uvm", "adaptive"; the v1 spellings
-	// "zerocopy", "zc", "emogi", "uvm" are aliases), overriding the
+	// under ("static-zc", "static-uvm", "adaptive"), overriding the
 	// dataset's loaded policy for this request only. Unknown names are
 	// rejected before admission. Empty uses the dataset's policy.
 	Transport string
@@ -158,10 +157,9 @@ type Request struct {
 
 // DatasetInfo describes one loaded graph.
 type DatasetInfo struct {
-	Name      string
-	Vertices  int
-	Edges     int64
-	Transport string
+	Name     string
+	Vertices int
+	Edges    int64
 	// Policy is the registry name of the transport policy the dataset was
 	// loaded under ("static-zc", "static-uvm", "adaptive").
 	Policy   string
@@ -333,13 +331,12 @@ func (s *Service) Datasets() []DatasetInfo {
 	out := make([]DatasetInfo, 0, len(s.graphs))
 	for name, dg := range s.graphs {
 		out = append(out, DatasetInfo{
-			Name:      name,
-			Vertices:  dg.Graph.NumVertices(),
-			Edges:     dg.Graph.NumEdges(),
-			Transport: dg.Transport.String(),
-			Policy:    dg.PolicyName(),
-			Directed:  dg.Graph.Directed,
-			Weighted:  dg.Graph.Weights != nil,
+			Name:     name,
+			Vertices: dg.Graph.NumVertices(),
+			Edges:    dg.Graph.NumEdges(),
+			Policy:   dg.Policy.Name(),
+			Directed: dg.Graph.Directed,
+			Weighted: dg.Graph.Weights != nil,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -402,7 +399,7 @@ func (s *Service) Do(ctx context.Context, req Request) (*emogi.Result, error) {
 	// Resolve the per-request transport-policy override before admission,
 	// so unknown names fail fast with the resolver's error.
 	var pol emogi.TransportPolicy
-	policyName := dg.PolicyName()
+	policyName := dg.Policy.Name()
 	if req.Transport != "" {
 		var perr error
 		if pol, perr = emogi.PolicyByName(req.Transport); perr != nil {
@@ -604,12 +601,12 @@ func (s *Service) retryLadder(t *task, pol emogi.TransportPolicy, run func(emogi
 		s.cfg.RetryAttempts, lastErr)
 }
 
-// executeDetail annotates one execute span: the transport it ran on and
-// how it failed, if it did.
+// executeDetail annotates one execute span: the fallback policy it ran on
+// and how it failed, if it did.
 func executeDetail(degraded bool, err error) string {
 	d := ""
 	if degraded {
-		d = "uvm"
+		d = "static-uvm"
 	}
 	switch {
 	case err == nil:

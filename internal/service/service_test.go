@@ -466,8 +466,8 @@ func TestServiceDatasets(t *testing.T) {
 	if len(ds) != 2 || ds[0].Name != "AA" || ds[1].Name != "GK" {
 		t.Fatalf("Datasets = %+v, want AA then GK", ds)
 	}
-	if ds[0].Transport != "uvm" || ds[1].Transport != "zerocopy" {
-		t.Errorf("transports = %s, %s", ds[0].Transport, ds[1].Transport)
+	if ds[0].Policy != "static-uvm" || ds[1].Policy != "static-zc" {
+		t.Errorf("policies = %s, %s", ds[0].Policy, ds[1].Policy)
 	}
 	if ds[1].Vertices == 0 || ds[1].Edges == 0 {
 		t.Errorf("GK reports empty dimensions: %+v", ds[1])

@@ -58,7 +58,7 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 
 	totalRounds := 0
 	for _, transport := range []core.Transport{core.ZeroCopy, core.UVM} {
-		dg, err := core.Upload(dev, g, transport, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +108,57 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 
 	// Labels set by the core round loop must address the series.
 	zc := `emogi_kernel_launches_total{app="BFS",graph="` + g.Name +
-		`",transport="zerocopy",variant="Merged+Aligned"}`
+		`",transport="static-zc",variant="Merged+Aligned"}`
 	if _, ok := series[zc]; !ok {
 		t.Errorf("missing labeled series %s in:\n%s", zc, out)
+	}
+}
+
+// TestCollectorLabelsOnePolicyName: a run's transport label is the name of
+// the policy that ran, however it was chosen. A graph loaded static-uvm and
+// a zero-copy graph running under a static-uvm override both count on
+// transport="static-uvm", and the label equals each Result.Policy.
+func TestCollectorLabelsOnePolicyName(t *testing.T) {
+	col := NewCollector(nil, nil)
+	dev := testDevice(t, 1, col)
+	g := testGraph(t)
+	src := graph.PickSources(g, 1, 71)[0]
+	ctx := context.Background()
+
+	dgU, err := core.Upload(dev, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.BFS(ctx, dev, dgU, src, core.MergedAligned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgU.Free(dev)
+	dgZ, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := core.WithPolicyOverride(ctx, core.StaticPolicyFor(core.UVM))
+	overridden, err := core.BFS(over, dev, dgZ, src, core.MergedAligned)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	series := parseSeries(t, render(t, col.Registry()))
+	key := `emogi_runs_total{app="BFS",graph="` + g.Name +
+		`",transport="static-uvm",variant="Merged+Aligned"}`
+	if got := series[key]; got != "2" {
+		t.Errorf("%s = %q, want 2 (the loaded and the overridden run)", key, got)
+	}
+	for k := range series {
+		if strings.Contains(k, `transport="uvm"`) || strings.Contains(k, `transport="zerocopy"`) {
+			t.Errorf("series %s uses a transport enum spelling, not a policy name", k)
+		}
+	}
+	for what, res := range map[string]*core.Result{"loaded": loaded, "overridden": overridden} {
+		if res.Policy != "static-uvm" {
+			t.Errorf("%s run: Policy = %q, want static-uvm", what, res.Policy)
+		}
 	}
 }
 
@@ -127,7 +175,7 @@ func TestCollectorReorderCounters(t *testing.T) {
 	dev.SetTelemetry(col)
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
-	dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+	dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +211,7 @@ func TestCollectorTraceDroppedMetric(t *testing.T) {
 
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
-	dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+	dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +237,7 @@ func TestCollectorSurvivesStatsReset(t *testing.T) {
 	src := graph.PickSources(g, 1, 71)[0]
 
 	run := func() uint64 {
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
+		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +296,7 @@ func TestCollectorSerialParallelEquivalence(t *testing.T) {
 		dev := testDevice(t, workers, col)
 		dev.Monitor().EnableTrace(64) // small limit: drop accounting must match too
 		for _, transport := range []core.Transport{core.ZeroCopy, core.UVM} {
-			dg, err := core.Upload(dev, g, transport, 8)
+			dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
 			if err != nil {
 				t.Fatal(err)
 			}

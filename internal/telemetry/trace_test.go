@@ -21,7 +21,7 @@ func TestTracerWriteJSONSchema(t *testing.T) {
 	dev.Monitor().EnableTrace(1 << 12)
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
-	dg, err := core.Upload(dev, g, core.UVM, 8)
+	dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 type RunSummary struct {
 	Algo      string // algorithm registry name the runs dispatched through
 	Variant   Variant
-	Transport Transport
 	GraphName string
 	Sources   []int
 
@@ -63,7 +62,6 @@ func (s *System) RunMany(dg *DeviceGraph, name string, sources []int, v Variant)
 	rs := &RunSummary{
 		Algo:      a.Name,
 		Variant:   v,
-		Transport: dg.Transport,
 		GraphName: dg.Graph.Name,
 		Sources:   sources,
 	}

@@ -21,7 +21,7 @@ type (
 	// TierKind identifies a tier's position in the hierarchy.
 	TierKind = memsys.TierKind
 	// Placement selects which host-side tier(s) a graph's edge list is
-	// homed on (see WithPlacement and Request.Placement).
+	// homed on (see WithPlacement).
 	Placement = core.Placement
 )
 
@@ -53,6 +53,51 @@ func ThreeTierCXL(base TierStack, cxlBytes int64) TierStack {
 
 // ParsePlacement maps a wire name ("auto", "dram", "cxl") to a Placement.
 func ParsePlacement(s string) (Placement, error) { return core.ParsePlacement(s) }
+
+// ParsePaging maps a paging-model name to SystemConfig.GPUDrivenPaging:
+// "cpu" (or empty) is the serialized CPU fault handler, "gpu" GPU-driven
+// page fetch. Case-insensitive.
+func ParsePaging(s string) (bool, error) {
+	switch strings.ToLower(s) {
+	case "cpu", "":
+		return false, nil
+	case "gpu":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown paging model %q (want cpu or gpu)", s)
+}
+
+// ParseVariant maps a kernel-variant name ("naive", "merged",
+// "merged+aligned" or its spellings "aligned" and "mergedaligned") to a
+// Variant. Case-insensitive.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "naive":
+		return Naive, nil
+	case "merged":
+		return Merged, nil
+	case "merged+aligned", "aligned", "mergedaligned":
+		return MergedAligned, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
+}
+
+// PlatformByName returns the named platform preset at the given dataset
+// scale: "v100", "titanxp", "a100-pcie3", or "a100-pcie4" (alias "a100").
+// Case-insensitive.
+func PlatformByName(name string, datasetScale float64) (SystemConfig, error) {
+	switch strings.ToLower(name) {
+	case "v100":
+		return V100PCIe3(datasetScale), nil
+	case "titanxp":
+		return TitanXpPCIe3(datasetScale), nil
+	case "a100-pcie3":
+		return A100PCIe3(datasetScale), nil
+	case "a100-pcie4", "a100":
+		return A100PCIe4(datasetScale), nil
+	}
+	return SystemConfig{}, fmt.Errorf("unknown platform %q", name)
+}
 
 // TierStackEntry is one selectable tier stack in the catalog — what
 // GET /v1/tiers serves and what the binaries' -tiers flags accept.

@@ -143,20 +143,6 @@ func TestThreeTierTraversalEndToEnd(t *testing.T) {
 			res.Stats.CXLRequests, res.Stats.CXLPayloadBytes)
 	}
 
-	// Request-level placement moves the graph back to DRAM; the following
-	// run must be CXL-quiet.
-	res2, err := sys.Do(context.Background(), Request{
-		Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned, Placement: PlaceDRAM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res2.Validate(g); err != nil {
-		t.Fatalf("re-homed traversal wrong: %v", err)
-	}
-	if res2.Stats.CXLRequests != 0 {
-		t.Errorf("DRAM-re-homed run still issued %d CXL requests", res2.Stats.CXLRequests)
-	}
-
 	// Two-tier systems reject CXL placement at load.
 	sys2 := NewSystem(V100PCIe3(0.02))
 	if _, err := sys2.Load(g, WithPlacement(PlaceCXL)); err == nil {
@@ -164,76 +150,39 @@ func TestThreeTierTraversalEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWithTierStackAtLoad attaches the CXL tier through the Load option on
-// a system built two-tier.
-func TestWithTierStackAtLoad(t *testing.T) {
-	cfg := V100PCIe3(0.02)
-	sys := NewSystem(cfg)
-	g, err := BuildDataset("GU", 0.02, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dram := cfg.GPU.Tiers.DRAM()
-	ts := ThreeTierCXL(cfg.GPU.Tiers, 4*dram.CapacityBytes)
-	dg, err := sys.Load(g, WithTierStack(ts), WithPlacement(PlaceCXL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := PickSources(g, 1, 71)[0]
-	res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CXLRequests == 0 {
-		t.Error("load-time-attached CXL tier served no traffic")
-	}
-
-	// A stack whose DRAM capacity disagrees with the machine is rejected.
-	hbm := cfg.GPU.Tiers.HBM()
-	bad := ThreeTierCXL(TwoTier(hbm.CapacityBytes, dram.CapacityBytes+1,
-		hbm.Mem, dram.Mem, dram.Link), 1<<30)
-	if _, err := sys.Load(g, WithTierStack(bad)); err == nil {
-		t.Error("mismatched tier stack should fail at Load")
-	}
-}
-
-// TestWithTierStackKeepsFaultHook loads a flaky-link system through
-// WithTierStack("3tier-cxl"): attaching the external tier must keep the
-// device's own DRAM link, fault hook included, so the tier stack the device
-// reports and the link its coalescer charges cannot disagree — and read
-// faults keep firing.
+// TestWithTierStackKeepsFaultHook builds a flaky-link system on the
+// "3tier-cxl" stack: attaching the external tier through ApplyTierStack must
+// keep the system's fault hook on the device's DRAM link, so the tier stack
+// the device reports and the link its coalescer charges cannot disagree —
+// and read faults keep firing. The caller's stack stays fault-free.
 func TestWithTierStackKeepsFaultHook(t *testing.T) {
 	inj, err := fault.New(fault.Config{Seed: 5, ReadFaultRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := V100PCIe3(smallScale)
+	cfg, err := ApplyTierStack(V100PCIe3(smallScale), "3tier-cxl")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Faults = inj
 	sys := NewSystem(cfg)
 	if cfg.GPU.Tiers.DRAM().Link.Faults != nil {
 		t.Error("NewSystem installed the fault hook on the caller's tier stack")
 	}
-	cxl, err := ApplyTierStack(V100PCIe3(smallScale), "3tier-cxl")
-	if err != nil {
-		t.Fatal(err)
+	ts := sys.Device().Tiers()
+	if !ts.HasCXL() {
+		t.Fatal("the device lost the 3tier-cxl stack's CXL tier")
+	}
+	if ts.DRAM().Link.Faults != inj {
+		t.Fatalf("device DRAM link fault hook = %v, want the system's injector", ts.DRAM().Link.Faults)
 	}
 	g, err := BuildDataset("GK", smallScale, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := sys.Load(g, WithTierStack(cxl.GPU.Tiers))
+	dg, err := sys.Load(g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ts := sys.Device().Tiers()
-	if !ts.HasCXL() {
-		t.Fatal("WithTierStack did not attach the CXL tier")
-	}
-	if ts.DRAM().Link.Faults != inj {
-		t.Fatalf("device DRAM link fault hook = %v, want the system's injector", ts.DRAM().Link.Faults)
 	}
 	src := PickSources(g, 1, 23)[0]
 	for attempt := 0; attempt < 8; attempt++ {
@@ -248,7 +197,7 @@ func TestWithTierStackKeepsFaultHook(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("a 5% read-fault rate never aborted a run after WithTierStack")
+	t.Fatal("a 5% read-fault rate never aborted a run on the 3tier-cxl stack")
 }
 
 // TestGPUDrivenPagingSystem checks the system-level paging selector: same
@@ -284,5 +233,53 @@ func TestGPUDrivenPagingSystem(t *testing.T) {
 	if gpu.Elapsed >= cpu.Elapsed {
 		t.Errorf("GPU-driven paging should beat the CPU fault handler on a UVM run: %v vs %v",
 			gpu.Elapsed, cpu.Elapsed)
+	}
+}
+
+// TestFlagValueParsers: the shared parsers behind the binaries' -variant,
+// -platform and -paging flags (and emogi-serve's "variant" field) accept
+// every documented spelling, case-insensitively, and reject anything else
+// with an error naming the value.
+func TestFlagValueParsers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Variant
+	}{
+		{"naive", Naive}, {"Merged", Merged}, {"merged+aligned", MergedAligned},
+		{"aligned", MergedAligned}, {"MERGEDALIGNED", MergedAligned},
+	} {
+		if got, err := ParseVariant(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want string
+	}{
+		{"v100", "V100 + PCIe 3.0"}, {"TitanXp", "Titan Xp + PCIe 3.0"},
+		{"a100-pcie3", "A100 + PCIe 3.0"}, {"a100-pcie4", "A100 + PCIe 4.0"}, {"a100", "A100 + PCIe 4.0"},
+	} {
+		if got, err := PlatformByName(tc.in, smallScale); err != nil || got.Name != tc.want {
+			t.Errorf("PlatformByName(%q) = %q, %v; want %q", tc.in, got.Name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want bool
+	}{
+		{"cpu", false}, {"", false}, {"GPU", true},
+	} {
+		if got, err := ParsePaging(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParsePaging(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for want, parse := range map[string]func() error{
+		`unknown variant "warp" (want naive, merged, or merged+aligned)`: func() error { _, err := ParseVariant("warp"); return err },
+		`unknown platform "h100"`:                     func() error { _, err := PlatformByName("h100", 1); return err },
+		`unknown paging model "os" (want cpu or gpu)`: func() error { _, err := ParsePaging("os"); return err },
+	} {
+		if err := parse(); err == nil || err.Error() != want {
+			t.Errorf("error = %v, want %q", err, want)
+		}
 	}
 }
