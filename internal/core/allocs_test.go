@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/gpu"
@@ -22,9 +23,9 @@ import (
 // (Result assembly, runState, prebuilt visitors) that a naive per-op
 // threshold would have to guess at.
 //
-// The contract covers the serial engine (Workers=1): parallel launches
-// spawn worker goroutines per launch by design, which Go runtime
-// machinery charges allocations for outside the engine's control.
+// The static zero-copy gates run the serial engine (Workers=1); the UVM
+// gate runs sharded launches (Workers=2), covering the worker pool and the
+// per-shard logs of deferred UVM touches.
 
 // allocDevice returns a single-worker device, optionally with the
 // coalescer's reorder stage enabled, so the contract covers both paths.
@@ -146,6 +147,56 @@ func TestSteadyStateRoundAllocsBatch(t *testing.T) {
 			}
 			a, b := measureRunAllocs(run, srcA, srcB)
 			assertEqualAllocs(t, app+"-batch", a, b, iters[srcA], iters[srcB])
+		}
+	}
+}
+
+// TestSteadyStateRoundAllocsUVM covers static-uvm runs under CPU and
+// GPU-driven paging on two launch workers. Each run starts cold
+// (ResetUVMResidency, as ColdCaches does) on a device whose free GPU memory
+// holds a fraction of the edge list, so every round faults, evicts, and
+// replays shard 1's logged touches at the launch barrier.
+func TestSteadyStateRoundAllocsUVM(t *testing.T) {
+	g := graph.Urand("alloc-uvm", 4000, 16, 3)
+	g.InitWeights(7, 8, 72)
+	for _, gpuDriven := range []bool{false, true} {
+		dev := gpu.NewDevice(gpu.Config{
+			Name:            "alloc-test-uvm",
+			Tiers:           v100Tiers(256<<10, 0),
+			Workers:         2,
+			GPUDrivenPaging: gpuDriven,
+		})
+		dg, err := uploadStatic(dev, g, UVM, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, pages := dev.UVM().Config().CapacityPages, dg.Edges.Pages(); c <= 0 || c >= pages {
+			t.Fatalf("UVM capacity %d pages does not oversubscribe the %d-page edge list", c, pages)
+		}
+		srcA, srcB := depthSources(t, g)
+		for _, tc := range []struct {
+			name string
+			algo func(src int) (*Result, error)
+		}{
+			{"bfs", func(src int) (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
+			{"sssp", func(src int) (*Result, error) { return SSSP(context.Background(), dev, dg, src, MergedAligned) }},
+		} {
+			name := fmt.Sprintf("static-uvm/gpu-paging=%v/%s", gpuDriven, tc.name)
+			iters := map[int]int{}
+			run := func(src int) {
+				dev.ResetStats()
+				dev.ResetUVMResidency()
+				res, err := tc.algo(src)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Stats.UVMMigrations == 0 {
+					t.Fatalf("%s: run migrated no UVM pages", name)
+				}
+				iters[src] = res.Iterations
+			}
+			a, b := measureRunAllocs(run, srcA, srcB)
+			assertEqualAllocs(t, name, a, b, iters[srcA], iters[srcB])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 
 	"repro/internal/gpu"
@@ -465,7 +466,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// routes per partition per round.
 	pol, routed := effectivePolicy(ctx, dg)
 	dev.BeginRun(gpu.RunLabels{App: prog.App,
-		Variant:   fmt.Sprintf("batch%d/%s", k, variant),
+		Variant:   "batch" + strconv.Itoa(k) + "/" + variant.String(),
 		Transport: pol.Name(), Graph: dg.Graph.Name})
 	defer dev.EndRun()
 	clockStart := dev.Clock()

@@ -27,14 +27,29 @@ import (
 // lists, so the adaptive policy faces real staging and UVM budget
 // pressure instead of trivially promoting everything.
 func adaptDevice(workers int) *gpu.Device {
+	return gpu.NewDevice(adaptConfig(workers))
+}
+
+func adaptConfig(workers int) gpu.Config {
 	s := 0.05 / 1000.0 // dataset scale x the repo's 1:1000 reduction
-	return gpu.NewDevice(gpu.Config{
+	return gpu.Config{
 		Name:               "test-v100-capped",
 		Workers:            workers,
 		Tiers:              v100Tiers(int64(float64(int64(16)<<30)*s), int64(float64(int64(256)<<30)*s)),
 		L2Bytes:            int64(float64(int64(6)<<20) * s),
 		MaxConcurrentLanes: int(float64(80*2048) * s),
-	})
+	}
+}
+
+// adaptCXLDevice is adaptDevice on the three-tier stack with GPU-driven
+// paging: with the edge list forced onto the CXL tier, this is the
+// configuration of the serving benchmark's adaptive-cxl workload.
+func adaptCXLDevice(workers int) *gpu.Device {
+	cfg := adaptConfig(workers)
+	cfg.Name = "test-v100-capped-cxl"
+	cfg.Tiers = memsys.ThreeTierCXL(cfg.Tiers, 0)
+	cfg.GPUDrivenPaging = true
+	return gpu.NewDevice(cfg)
 }
 
 // decisionLog records the per-round transport decision stream in a
@@ -67,10 +82,16 @@ func sameDecisions(a, b []string) bool {
 // fresh capped device, returning the result and the decision stream.
 func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, variant Variant) (*Result, []string) {
 	t.Helper()
-	dev := adaptDevice(workers)
+	return adaptiveRunOn(t, adaptDevice(workers), PlaceAuto, g, algo, src, variant)
+}
+
+// adaptiveRunOn is adaptiveRun on the given device and edge-list placement.
+func adaptiveRunOn(t *testing.T, dev *gpu.Device, place Placement, g *graph.CSR, algo string, src int, variant Variant) (*Result, []string) {
+	t.Helper()
+	workers := dev.Config().Workers
 	log := &decisionLog{}
 	dev.SetTelemetry(log)
-	dg, err := Upload(dev, g, AdaptivePolicy(), 8, PlaceAuto)
+	dg, err := Upload(dev, g, AdaptivePolicy(), 8, place)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,24 +167,36 @@ func TestAdaptiveDecidePure(t *testing.T) {
 // TestAdaptiveSerialParallelEquivalence: a routed adaptive run is
 // bit-for-bit identical — values, iterations, simulated elapsed, kernel
 // stats, and the full decision stream — whether kernels run on one worker
-// goroutine or eight.
+// goroutine or eight. The 3tier-cxl cases force the edge list onto the CXL
+// tier under GPU-driven paging, so UVM-bound partitions migrate over the
+// CXL link from sharded launches.
 func TestAdaptiveSerialParallelEquivalence(t *testing.T) {
-	for _, tc := range []struct{ sym, algo string }{{"GK", "bfs"}, {"GU", "sssp"}} {
+	for _, tc := range []struct {
+		sym, algo string
+		cxl       bool
+	}{{"GK", "bfs", false}, {"GU", "sssp", false}, {"GK", "bfs", true}, {"GU", "sssp", true}} {
 		spec, err := graph.BySym(tc.sym)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := spec.Build(0.05, 42)
 		src := graph.PickSources(g, 1, 71)[0]
-		t.Run(tc.sym+"/"+tc.algo, func(t *testing.T) {
-			res1, dec1 := adaptiveRun(t, g, tc.algo, src, 1, Naive)
-			res8, dec8 := adaptiveRun(t, g, tc.algo, src, 8, Naive)
+		name, newDev, place := tc.sym+"/"+tc.algo, adaptDevice, PlaceAuto
+		if tc.cxl {
+			name, newDev, place = "3tier-cxl/"+name, adaptCXLDevice, PlaceCXL
+		}
+		t.Run(name, func(t *testing.T) {
+			res1, dec1 := adaptiveRunOn(t, newDev(1), place, g, tc.algo, src, Naive)
+			res8, dec8 := adaptiveRunOn(t, newDev(8), place, g, tc.algo, src, Naive)
 			assertResultsEqual(t, res1, res8)
 			if !sameDecisions(dec1, dec8) {
 				t.Errorf("decision streams differ:\nserial:   %v\nparallel: %v", dec1, dec8)
 			}
 			if len(dec1) == 0 {
 				t.Error("adaptive run decided nothing; test exercised no policy rounds")
+			}
+			if tc.cxl && (res1.Stats.CXLPayloadBytes == 0 || res1.Stats.UVMMigrations == 0) {
+				t.Errorf("3tier-cxl run moved no CXL bytes or no UVM pages: %+v", res1.Stats)
 			}
 		})
 	}

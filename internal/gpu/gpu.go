@@ -14,10 +14,11 @@
 // either a commutative integer reduction (sums, a max) or a float derived
 // from merged integers after the barrier, so totals, thrash charging, and
 // the simulated clock are bit-for-bit identical for every worker count.
-// Order-dependent state stays off the parallel path: launches that can
-// touch UVM-managed memory run serial (the LRU residency bookkeeping is
-// order-dependent), and kernels whose bodies are order-sensitive pass the
-// Serial launch option. See DESIGN.md, "Parallel execution engine".
+// The one order-dependent piece of launch state, the UVM manager's LRU
+// residency, is kept in serial order by deferring later shards' page-table
+// touches to an ordered replay at the launch barrier (uvmlog.go). Kernels
+// whose bodies are order-sensitive pass the Serial launch option. See
+// DESIGN.md, "Parallel execution engine".
 package gpu
 
 import (
@@ -296,21 +297,17 @@ type Device struct {
 	// re-hitting the same faults; with injection disabled it is inert.
 	runEpoch uint64
 
-	// forceSerial pins launches to the serial path while set. The
-	// transport-policy runtime sets it for routed (adaptive) runs: a policy
-	// may bind segments to UVM mid-run, and the UVM manager's LRU
-	// bookkeeping is order-dependent, so such launches must not be sharded.
-	forceSerial bool
-
 	// Reused launch scratch (launch.go): the persistent serial-path warp
-	// with its size-class counters, the parallel shard pool, and a chunked
-	// KernelStats slab, so steady-state launches allocate nothing. Chunks
-	// are never moved or shrunk; ResetStats just rewinds ksUsed, which
-	// invalidates KernelStats pointers handed out before the reset.
+	// with its size-class counters, the parallel shard pool and its
+	// barrier, and a chunked KernelStats slab, so steady-state launches
+	// allocate nothing. Chunks are never moved or shrunk; ResetStats just
+	// rewinds ksUsed, which invalidates KernelStats pointers handed out
+	// before the reset.
 	serialWarp Warp
 	serialZC   [zcSizeClasses]uint64
 	serialCXL  [zcSizeClasses]uint64
 	shardPool  []*launchShard
+	launchWG   sync.WaitGroup
 	ksChunks   [][]KernelStats
 	ksUsed     int
 	lc         launchConfig
@@ -426,17 +423,13 @@ func (d *Device) ResetStats() {
 // copies so the next run starts cold, and refreshes the UVM capacity from
 // current free GPU memory. Staged segments belong to the batched-copy
 // transport substrate; dropping them here keeps cold-vs-warm comparisons
-// honest across policies (System.ColdCaches routes through this).
+// honest across policies (System.ColdCaches routes through this). The UVM
+// manager is reset in place, keeping its warmed page table.
 func (d *Device) ResetUVMResidency() {
 	d.uvmgr.Reset()
-	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), d.cfg.GPUDrivenPaging))
+	d.uvmgr.SetCapacityPages(d.uvmCapacityPages())
 	d.arena.ResetStaged()
 }
-
-// SetSerialLaunches pins (or, with false, unpins) kernel launches to the
-// serial path. Used by the transport-policy runtime around routed runs; see
-// Device.forceSerial.
-func (d *Device) SetSerialLaunches(on bool) { d.forceSerial = on }
 
 // finish folds the per-size zero-copy request counts into the link roofline
 // terms, converts the kernel's traffic into elapsed time, and advances the

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/pcie"
 )
@@ -48,18 +47,37 @@ func ShardRange(warps, workers, i int) (lo, hi int) {
 }
 
 // launchShard is one worker's private accumulation state: a stats shard, a
-// private traffic monitor, the per-size zero-copy request counts, and the
-// worker's persistent warp. All counting fields merge commutatively (or in
-// ascending shard order, for traces) at the launch barrier. Shards live in
-// the device's pool and are reused across launches, so a worker index keeps
-// its warp — and the warp's kernel-private Local scratch — for the lifetime
-// of the device.
+// private traffic monitor, the per-size zero-copy request counts, the log
+// of deferred UVM touches, and the worker's persistent warp. All counting
+// fields merge commutatively (or in ascending shard order, for traces and
+// UVM touches) at the launch barrier. Shards live in the device's pool and
+// are reused across launches, so a worker index keeps its warp — and the
+// warp's kernel-private Local scratch — for the lifetime of the device.
 type launchShard struct {
 	ks        KernelStats
 	mon       pcie.Monitor
 	zcBySize  [zcSizeClasses]uint64
 	cxlBySize [zcSizeClasses]uint64
+	uvm       uvmLog
 	w         Warp
+
+	// The current launch's warp range and kernel body, and run, the
+	// worker's entry point. run is built once per shard, so starting a
+	// worker goroutine allocates nothing.
+	lo, hi int
+	body   func(w *Warp)
+	run    func()
+}
+
+// newLaunchShard returns a pooled shard whose worker runs the shard's warp
+// range and then signals the device's launch barrier.
+func (d *Device) newLaunchShard() *launchShard {
+	sh := &launchShard{}
+	sh.run = func() {
+		defer d.launchWG.Done()
+		runWarpRange(&sh.w, sh.lo, sh.hi, sh.body)
+	}
+	return sh
 }
 
 // ksChunkSize is the KernelStats slab chunk: big enough that multi-round
@@ -92,13 +110,11 @@ func (d *Device) reorderCap() int {
 	return c
 }
 
-// workerCount resolves the effective worker count for a launch.
+// workerCount resolves the effective worker count for a launch. Only the
+// Serial option pins a launch to one worker: UVM page-table touches stay
+// exact on any worker count through the ordered replay (uvmlog.go).
 func (d *Device) workerCount(warps int, lc *launchConfig) int {
-	// UVM page faults mutate the manager's LRU residency state, whose
-	// outcome depends on fault order; those launches stay serial, as does
-	// anything that asked for it explicitly and any routed (adaptive
-	// transport policy) run, which can bind segments to UVM mid-run.
-	if lc.serial || d.forceSerial || d.arena.HasUVM() {
+	if lc.serial {
 		return 1
 	}
 	n := d.cfg.Workers
@@ -176,11 +192,11 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 	}
 
 	for len(d.shardPool) < workers {
-		d.shardPool = append(d.shardPool, &launchShard{})
+		d.shardPool = append(d.shardPool, d.newLaunchShard())
 	}
 	shards := d.shardPool[:workers]
 	traceLimit := d.mon.TraceLimit()
-	var wg sync.WaitGroup
+	pageBytes := int64(d.uvmgr.Config().PageBytes)
 	for i, sh := range shards {
 		sh.ks = KernelStats{}
 		sh.zcBySize = [zcSizeClasses]uint64{}
@@ -191,7 +207,9 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 			// truncates at the device monitor's remaining capacity.
 			sh.mon.EnableTrace(traceLimit)
 		}
-		lo, hi := ShardRange(warps, workers, i)
+		sh.uvm.reset(pageBytes)
+		sh.lo, sh.hi = ShardRange(warps, workers, i)
+		sh.body = body
 		w := &sh.w
 		w.dev = d
 		w.ks = &sh.ks
@@ -199,19 +217,30 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		w.zcBySize = &sh.zcBySize
 		w.cxlBySize = &sh.cxlBySize
 		w.reorderCap = rcap
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runWarpRange(w, lo, hi, body)
-		}()
+		w.uvmLog = nil
+		if i > 0 {
+			w.uvmLog = &sh.uvm
+		}
 	}
-	wg.Wait()
+	d.launchWG.Add(workers)
+	for _, sh := range shards {
+		go sh.run()
+	}
+	d.launchWG.Wait()
 
 	// Merge in ascending shard order. Since shards are contiguous warp
-	// ranges, concatenating their monitor traces reproduces the serial
-	// arrival order; every counter merge is a sum or a max.
+	// ranges, this is the serial order: concatenating the monitor traces
+	// reproduces the serial arrival order, and replaying the deferred UVM
+	// touches of shards 1..n-1 after shard 0's direct ones reproduces the
+	// serial page-table walk. Every other counter merge is a sum or a max.
 	var zc, cxl [zcSizeClasses]uint64
-	for _, sh := range shards {
+	for i, sh := range shards {
+		sh.body = nil
+		if i == 0 {
+			d.mon.Merge(&sh.mon)
+		} else {
+			d.replayUVM(ks, sh)
+		}
 		ks.Add(&sh.ks)
 		for j, n := range sh.zcBySize {
 			zc[j] += n
@@ -219,7 +248,6 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		for j, n := range sh.cxlBySize {
 			cxl[j] += n
 		}
-		d.mon.Merge(&sh.mon)
 	}
 	d.finish(ks, &zc, &cxl, workers)
 	return ks

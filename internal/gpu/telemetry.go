@@ -38,7 +38,8 @@ type Telemetry interface {
 	// KernelDone fires once per kernel launch, after the launch's stats are
 	// merged and the clock advanced. workers is the worker-goroutine count
 	// the launch actually used; maxWorkers is the count the device was
-	// configured for (a serial-forced launch reports workers < maxWorkers).
+	// configured for (a Serial launch, or one with fewer warps than
+	// workers, reports workers < maxWorkers).
 	// start and end bound the launch on the simulated clock.
 	KernelDone(dev *Device, ks *KernelStats, workers, maxWorkers int, start, end time.Duration)
 

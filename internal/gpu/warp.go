@@ -109,6 +109,11 @@ type Warp struct {
 	reorderCap  int
 	reorderBase uint64
 
+	// uvmLog, when non-nil, defers this worker's UVM page-table touches to
+	// the launch barrier's ordered replay (uvmlog.go). Nil on the serial
+	// path and in shard 0, which apply their touches directly.
+	uvmLog *uvmLog
+
 	// Local is kernel-private per-worker scratch. The launch machinery
 	// never touches it: it persists across warps, launches, and runs, so
 	// kernels can reuse allocation-free state (e.g. the traversal engine's
@@ -222,8 +227,8 @@ func (w *Warp) access(buf *memsys.Buffer, off *[WarpSize]int64, mask Mask, write
 	// Emit one request per contiguous sector run within a 128B line. With
 	// the reorder stage enabled, off-device runs are buffered in the window
 	// instead (reorder.go) and dispatched line-regrouped at flush time;
-	// on-device and UVM runs always dispatch immediately (UVM page state is
-	// dispatch-order-dependent).
+	// on-device and UVM runs always dispatch immediately (UVM page-table
+	// touches must keep their serial order; see uvmlog.go).
 	runStart := 0
 	for i := 1; i <= m; i++ {
 		if i < m && s[i] == s[i-1]+1 && s[i]>>2 == s[runStart]>>2 {
@@ -278,57 +283,16 @@ func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 		}
 
 	case memsys.SpaceUVM:
-		off := int64(addr - buf.Base)
-		pb := int64(d.uvmgr.Config().PageBytes)
-		pagesTouched := int((off+int64(size)-1)/pb - off/pb + 1)
-		migrated := d.uvmgr.Touch(buf, off, size)
-		if migrated > 0 {
-			bytes := d.uvmgr.MigrationWireBytes(migrated)
-			ks.UVMMigrations += uint64(migrated)
-			// Pages migrate over the link of the tier the segment is homed
-			// on: host DRAM behind PCIe, or the CXL expander behind its own
-			// link. UVM launches always run serially (see workerCount), so
-			// accumulating these floats here is partition-independent.
-			lnk := d.link
-			fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
-			if fromCXL {
-				lnk = d.cxl.Link
-				ks.CXLPayloadBytes += uint64(bytes)
-				ks.CXLWireSeconds += lnk.BulkSeconds(bytes)
-				ks.CXLMemBytes += uint64(bytes)
-				w.mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassCXL)
-			} else {
-				ks.PCIePayloadBytes += uint64(bytes)
-				ks.WireSeconds += lnk.BulkSeconds(bytes)
-				ks.HostDRAMBytes += uint64(bytes)
-				w.mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassUVM)
-			}
-			if d.uvmgr.Config().GPUDriven {
-				// GPU-driven paging (GPUVM): the device posts the page
-				// reads itself, so they cost link tag occupancy — one
-				// full-size request per 128 bytes — instead of waiting on
-				// the CPU handler. UVM throughput then scales with the
-				// interconnect.
-				tagOcc := float64(migrated) * float64(pb/128) * lnk.TagSeconds()
-				if fromCXL {
-					ks.CXLTagSeconds += tagOcc
-				} else {
-					ks.TagSeconds += tagOcc
-				}
-			} else {
-				// The single-threaded UVM driver serializes fault handling
-				// with the page transfer (§2.2): the pipeline term is
-				// handler cost plus transfer time per page, which is what
-				// keeps UVM at ~9.1 GB/s even though the wire could do 12.3
-				// (Figure 4) and what prevents UVM from scaling to PCIe 4.0
-				// (Figure 12).
-				ks.UVMSerialSeconds += d.uvmgr.FaultCPUTime(migrated).Seconds() +
-					lnk.BulkSeconds(bytes)
-			}
-		}
-		ks.UVMHits += uint64(pagesTouched - migrated)
-		// After migration the access is served from GPU memory.
+		// After migration the access is served from GPU memory. The page
+		// table touch is order-dependent: apply it now, or log it for the
+		// launch barrier's ordered replay (uvmlog.go).
 		ks.HBMBytes += uint64(size)
+		off := int64(addr - buf.Base)
+		if w.uvmLog != nil {
+			w.uvmLog.add(buf, off, size, w.mon.TraceOffered())
+		} else {
+			d.touchUVM(ks, w.mon, buf, off, size)
+		}
 
 	case memsys.SpaceCXL:
 		// Coalesced read served directly by the external CXL-class tier:

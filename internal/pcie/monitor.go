@@ -210,6 +210,13 @@ func (m *Monitor) Merge(other *Monitor) {
 	if other == nil {
 		return
 	}
+	m.MergeCounters(other)
+	m.MergeTrace(other, 0, other.TraceOffered())
+}
+
+// MergeCounters is Merge without the trace: it folds other's request,
+// byte, and class counters into m.
+func (m *Monitor) MergeCounters(other *Monitor) {
 	m.sizeHist.Merge(&other.sizeHist)
 	m.wireBytes += other.wireBytes
 	m.intervalBytes += other.intervalBytes
@@ -217,15 +224,30 @@ func (m *Monitor) Merge(other *Monitor) {
 		m.classReqs[c] += other.classReqs[c]
 		m.classBytes[c] += other.classBytes[c]
 	}
-	if m.traceLimit > 0 {
-		m.traceDropped += other.traceDropped
-		for _, e := range other.trace {
+}
+
+// MergeTrace appends the entries offered to other's trace at arrival
+// positions [from, to) — see TraceOffered — to m's trace: entries other
+// kept are appended while m has room, and the rest, like entries other
+// already dropped, count as dropped on m. Merging consecutive ranges lets a
+// caller record its own entries on m between them, at their arrival
+// positions. A no-op when m is not tracing.
+func (m *Monitor) MergeTrace(other *Monitor, from, to uint64) {
+	if m.traceLimit <= 0 || to <= from {
+		return
+	}
+	kept := uint64(len(other.trace))
+	if from < kept {
+		for _, e := range other.trace[from:min(to, kept)] {
 			if len(m.trace) >= m.traceLimit {
 				m.traceDropped++
 				continue
 			}
 			m.trace = append(m.trace, e)
 		}
+	}
+	if to > kept {
+		m.traceDropped += to - max(from, kept)
 	}
 }
 
@@ -311,6 +333,11 @@ func (m *Monitor) Trace() []TraceEntry { return m.trace }
 // TraceLimit returns the configured trace bound (0 when tracing is off).
 func (m *Monitor) TraceLimit() int { return m.traceLimit }
 
+// TraceOffered returns the number of entries offered to the trace so far:
+// those kept plus those dropped (0 when tracing is off). It is the arrival
+// position of the next entry, as MergeTrace counts positions.
+func (m *Monitor) TraceOffered() uint64 { return uint64(len(m.trace)) + m.traceDropped }
+
 // TraceDropped returns the number of requests truncated from the trace
 // because the buffer was already at its limit (always 0 when tracing is
 // off).
@@ -336,11 +363,4 @@ func (m *Monitor) traceAddN(size int, bulk bool, n uint64) {
 		m.trace = append(m.trace, TraceEntry{Size: int32(size), Bulk: bulk})
 	}
 	m.traceDropped += n - keep
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

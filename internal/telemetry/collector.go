@@ -46,8 +46,8 @@ type devState struct {
 	dropped  uint64 // monitor TraceDropped at last snapshot
 	traceLen int    // monitor trace length already forwarded to the tracer
 
-	uvmgr *uvm.Manager // pointer identity detects ColdCaches replacement
-	uvm   uvm.Stats
+	uvmGen uint64 // UVM manager Reset generation at last snapshot
+	uvm    uvm.Stats
 }
 
 // utilAcc accumulates launch-engine worker usage for one label set.
@@ -97,8 +97,8 @@ func (c *Collector) state(dev *gpu.Device) *devState {
 	st, ok := c.devs[dev]
 	if !ok {
 		st = &devState{
-			name:  fmt.Sprintf("%s #%d", dev.Config().Name, len(c.devs)+1),
-			uvmgr: dev.UVM(),
+			name:   fmt.Sprintf("%s #%d", dev.Config().Name, len(c.devs)+1),
+			uvmGen: dev.UVM().Generation(),
 		}
 		c.devs[dev] = st
 	}
@@ -178,6 +178,12 @@ func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, ma
 		"Individual zero-copy PCIe read requests issued by kernels.", ls).Add(ks.PCIeRequests)
 	reg.Counter("emogi_pcie_payload_bytes_total",
 		"PCIe payload bytes issued by kernels (zero-copy reads plus UVM migrations).", ls).Add(ks.PCIePayloadBytes)
+	reg.Counter("emogi_cxl_requests_total",
+		"Individual read requests served by the external CXL-class tier over its link.", ls).Add(ks.CXLRequests)
+	reg.Counter("emogi_cxl_payload_bytes_total",
+		"CXL link payload bytes issued by kernels (direct reads plus UVM migrations from CXL-homed segments).", ls).Add(ks.CXLPayloadBytes)
+	reg.Counter("emogi_cxl_mem_bytes_total",
+		"CXL expander memory bytes served (includes 64B burst rounding).", ls).Add(ks.CXLMemBytes)
 	reg.Counter("emogi_uvm_migrations_total",
 		"UVM pages migrated host to GPU during kernels.", ls).Add(ks.UVMMigrations)
 	reg.Counter("emogi_uvm_page_hits_total",
@@ -368,13 +374,13 @@ func (c *Collector) monitorDelta(dev *gpu.Device, st *devState) (delta pcie.Snap
 }
 
 // uvmDelta returns the UVM manager's stats growth since the previous
-// event, resetting the baseline when the manager was replaced (ColdCaches)
-// or reset. Callers hold c.mu.
+// event, resetting the baseline when the manager was reset (ColdCaches) in
+// between. Callers hold c.mu.
 func (c *Collector) uvmDelta(dev *gpu.Device, st *devState) uvm.Stats {
 	mgr := dev.UVM()
 	now := mgr.Stats()
-	if mgr != st.uvmgr || now.Faults < st.uvm.Faults {
-		st.uvmgr = mgr
+	if gen := mgr.Generation(); gen != st.uvmGen || now.Faults < st.uvm.Faults {
+		st.uvmGen = gen
 		st.uvm = uvm.Stats{}
 	}
 	delta := uvm.Stats{

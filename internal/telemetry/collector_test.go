@@ -46,6 +46,61 @@ func sumSeries(t *testing.T, series map[string]string, name string) uint64 {
 	return total
 }
 
+// TestCollectorCXLSeries checks the CXL families on a three-tier device
+// with the edge list forced onto the CXL tier: under both static
+// transports and the adaptive policy (direct CXL reads, UVM migrations out
+// of CXL-homed segments), each series equals the runs' summed
+// Result.Stats.
+func TestCollectorCXLSeries(t *testing.T) {
+	col := NewCollector(nil, nil)
+	two := memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16())
+	dev := gpu.NewDevice(gpu.Config{
+		Name:            "test-v100-cxl",
+		Workers:         2,
+		Tiers:           memsys.ThreeTierCXL(two, 0),
+		GPUDrivenPaging: true,
+	})
+	dev.SetTelemetry(col)
+	g := testGraph(t)
+	src := graph.PickSources(g, 1, 71)[0]
+
+	var want gpu.KernelStats
+	for _, policy := range []core.TransportPolicy{
+		core.StaticPolicyFor(core.ZeroCopy), core.StaticPolicyFor(core.UVM), core.AdaptivePolicy(),
+	} {
+		dg, err := core.Upload(dev, g, policy, 8, core.PlaceCXL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(&res.Stats)
+		dg.Free(dev)
+	}
+	if want.CXLRequests == 0 || want.CXLPayloadBytes <= want.CXLRequests*128 {
+		t.Fatalf("forced-CXL runs moved too little CXL traffic to test: %+v", want)
+	}
+
+	series := parseSeries(t, render(t, col.Registry()))
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"emogi_cxl_requests_total", want.CXLRequests},
+		{"emogi_cxl_payload_bytes_total", want.CXLPayloadBytes},
+		{"emogi_cxl_mem_bytes_total", want.CXLMemBytes},
+	} {
+		if got := sumSeries(t, series, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d (summed Result.Stats)", c.name, got, c.want)
+		}
+	}
+	if _, ok := series[`emogi_cxl_requests_total{app="BFS",graph="GK",transport="adaptive",variant="Merged+Aligned"}`]; !ok {
+		t.Errorf("emogi_cxl_requests_total lacks the run labels the PCIe counters carry")
+	}
+}
+
 // TestCollectorMatchesDeviceCounters is the exporter-accuracy acceptance
 // check: after a real run the /metrics values must equal the device's own
 // counters — the same numbers the bench tables print.

@@ -100,32 +100,51 @@ type pageKey struct {
 type Manager struct {
 	cfg   Config
 	stats Stats
+	gen   uint64
 
-	// Intrusive LRU over resident pages: map into a doubly-linked list.
-	lru      map[pageKey]*lruNode
-	head     *lruNode // most recently used
-	tail     *lruNode // least recently used
+	// Intrusive LRU over resident pages. The map indexes a node slab whose
+	// entries link into a doubly-linked list by slab index (nilNode ends
+	// it). Evicted nodes go on a free list and Reset rewinds the slab, so a
+	// warmed manager faults, evicts, and resets without allocating.
+	lru      map[pageKey]int32
+	nodes    []lruNode
+	free     int32 // free-list head, linked through next
+	head     int32 // most recently used
+	tail     int32 // least recently used
 	resident int
 }
 
 type lruNode struct {
 	key        pageKey
-	prev, next *lruNode
+	prev, next int32
 }
+
+// nilNode is the null slab index.
+const nilNode = -1
 
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	if cfg.PageBytes <= 0 {
 		cfg.PageBytes = memsys.PageBytes
 	}
-	return &Manager{cfg: cfg, lru: make(map[pageKey]*lruNode)}
+	return &Manager{cfg: cfg, lru: make(map[pageKey]int32),
+		free: nilNode, head: nilNode, tail: nilNode}
 }
 
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
+// SetCapacityPages changes Config.CapacityPages. It takes effect at the next
+// fault; pages already resident beyond the new capacity stay until the LRU
+// evicts them.
+func (m *Manager) SetCapacityPages(pages int) { m.cfg.CapacityPages = pages }
+
 // Stats returns a copy of the accumulated statistics.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// Generation returns the number of times the manager has been Reset, letting
+// delta-tracking observers tell a reset from ordinary counter growth.
+func (m *Manager) Generation() uint64 { return m.gen }
 
 // Resident returns the number of currently resident pages.
 func (m *Manager) Resident() int { return m.resident }
@@ -143,15 +162,30 @@ func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated int) 
 	first := off / pb
 	last := (off + int64(size) - 1) / pb
 	for p := first; p <= last; p++ {
-		key := pageKey{buf, int(p)}
-		if node, ok := m.lru[key]; ok {
-			m.moveToFront(node)
+		if i, ok := m.lru[pageKey{buf, int(p)}]; ok {
+			m.moveToFront(i)
 			m.stats.HBMHits++
 			continue
 		}
 		migrated += m.faultBlock(buf, p)
 	}
 	return migrated
+}
+
+// Rehit applies n further touches of page p of buf that directly follow a
+// Touch of it. If the page is resident each one is a hit, and n of them cost
+// one LRU update — exactly what n back-to-back Touch calls would do — and
+// Rehit returns true. If it is not resident (a bouncing zero-capacity
+// manager, or a prefetch block that evicted its own page) Rehit changes
+// nothing and returns false: each repeat must go back through Touch.
+func (m *Manager) Rehit(buf *memsys.Buffer, p int64, n int) bool {
+	i, ok := m.lru[pageKey{buf, int(p)}]
+	if !ok {
+		return false
+	}
+	m.moveToFront(i)
+	m.stats.HBMHits += uint64(n)
+	return true
 }
 
 // PrefetchRange migrates every non-resident page overlapping the byte range
@@ -193,16 +227,11 @@ func (m *Manager) EvictRange(buf *memsys.Buffer, off, size int64) (evicted int) 
 	first := off / pb
 	last := (off + size - 1) / pb
 	for p := first; p <= last; p++ {
-		key := pageKey{buf, int(p)}
-		node, ok := m.lru[key]
+		i, ok := m.lru[pageKey{buf, int(p)}]
 		if !ok {
 			continue
 		}
-		m.unlink(node)
-		delete(m.lru, key)
-		m.resident--
-		buf.SetPageResident(int(p), false)
-		m.stats.Evictions++
+		m.drop(i)
 		evicted++
 	}
 	return evicted
@@ -245,13 +274,20 @@ func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
 		return
 	}
 	if m.cfg.CapacityPages > 0 {
-		for m.resident >= m.cfg.CapacityPages && m.tail != nil {
+		for m.resident >= m.cfg.CapacityPages && m.tail != nilNode {
 			m.evictLRU()
 		}
 	}
-	node := &lruNode{key: key}
-	m.lru[key] = node
-	m.pushFront(node)
+	i := m.free
+	if i != nilNode {
+		m.free = m.nodes[i].next
+		m.nodes[i].key = key
+	} else {
+		i = int32(len(m.nodes))
+		m.nodes = append(m.nodes, lruNode{key: key})
+	}
+	m.lru[key] = i
+	m.pushFront(i)
 	m.resident++
 	buf.SetPageResident(key.page, true)
 	m.stats.Faults++
@@ -262,26 +298,38 @@ func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
 // evictLRU drops the least recently used page. Read-mostly pages are
 // duplicates of host data, so eviction is free of writeback traffic.
 func (m *Manager) evictLRU() {
-	node := m.tail
-	if node == nil {
-		return
+	if m.tail != nilNode {
+		m.drop(m.tail)
 	}
-	m.unlink(node)
-	delete(m.lru, node.key)
-	m.resident--
-	node.key.buf.SetPageResident(node.key.page, false)
-	m.stats.Evictions++
 }
 
-// Reset clears residency and statistics (between experiment runs).
+// drop evicts resident node i and returns it to the free list.
+func (m *Manager) drop(i int32) {
+	n := &m.nodes[i]
+	m.unlink(i)
+	delete(m.lru, n.key)
+	m.resident--
+	n.key.buf.SetPageResident(n.key.page, false)
+	m.stats.Evictions++
+	n.key = pageKey{} // do not pin a freed buffer
+	n.next = m.free
+	m.free = i
+}
+
+// Reset clears residency and statistics (between experiment runs), keeping
+// the configuration and the capacity of the LRU's map and node slab.
 func (m *Manager) Reset() {
-	for key := range m.lru {
-		key.buf.SetPageResident(key.page, false)
+	for i := m.head; i != nilNode; i = m.nodes[i].next {
+		k := m.nodes[i].key
+		k.buf.SetPageResident(k.page, false)
 	}
-	m.lru = make(map[pageKey]*lruNode)
-	m.head, m.tail = nil, nil
+	clear(m.lru)
+	clear(m.nodes) // do not pin freed buffers
+	m.nodes = m.nodes[:0]
+	m.free, m.head, m.tail = nilNode, nilNode, nilNode
 	m.resident = 0
 	m.stats = Stats{}
+	m.gen++
 }
 
 // MigrationWireBytes returns the interconnect payload bytes for n migrated
@@ -295,38 +343,40 @@ func (m *Manager) FaultCPUTime(n int) time.Duration {
 	return time.Duration(float64(n) * m.cfg.FaultCPUSeconds * float64(time.Second))
 }
 
-// --- intrusive LRU list plumbing ---
+// --- intrusive LRU list plumbing (slab indices) ---
 
-func (m *Manager) pushFront(n *lruNode) {
-	n.prev = nil
+func (m *Manager) pushFront(i int32) {
+	n := &m.nodes[i]
+	n.prev = nilNode
 	n.next = m.head
-	if m.head != nil {
-		m.head.prev = n
+	if m.head != nilNode {
+		m.nodes[m.head].prev = i
 	}
-	m.head = n
-	if m.tail == nil {
-		m.tail = n
+	m.head = i
+	if m.tail == nilNode {
+		m.tail = i
 	}
 }
 
-func (m *Manager) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (m *Manager) unlink(i int32) {
+	n := &m.nodes[i]
+	if n.prev != nilNode {
+		m.nodes[n.prev].next = n.next
 	} else {
 		m.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		m.nodes[n.next].prev = n.prev
 	} else {
 		m.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
+	n.prev, n.next = nilNode, nilNode
 }
 
-func (m *Manager) moveToFront(n *lruNode) {
-	if m.head == n {
+func (m *Manager) moveToFront(i int32) {
+	if m.head == i {
 		return
 	}
-	m.unlink(n)
-	m.pushFront(n)
+	m.unlink(i)
+	m.pushFront(i)
 }

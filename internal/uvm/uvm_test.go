@@ -97,6 +97,66 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestRehitMatchesRepeatedTouch checks Rehit against the Touch calls it
+// stands for: on a resident page, n repeats are n hits and refresh the
+// page's recency once; on a non-resident page Rehit changes nothing.
+func TestRehitMatchesRepeatedTouch(t *testing.T) {
+	b := newTestBuffer(t, 4)
+	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	touchPage := func(p int) int { return m.Touch(b, int64(p*memsys.PageBytes), 8) }
+
+	touchPage(0)
+	touchPage(1)
+	if !m.Rehit(b, 0, 3) { // refresh page 0; page 1 is now LRU
+		t.Fatal("Rehit of resident page 0 returned false")
+	}
+	if got := m.Stats().HBMHits; got != 3 {
+		t.Errorf("HBMHits = %d, want 3", got)
+	}
+	touchPage(2)
+	if b.PageResident(1) || !b.PageResident(0) {
+		t.Errorf("Rehit did not refresh page 0's recency: page 1 should be the evicted LRU page")
+	}
+	before := m.Stats()
+	if m.Rehit(b, 1, 5) {
+		t.Error("Rehit of evicted page 1 returned true")
+	}
+	if m.Stats() != before || m.Resident() != 2 {
+		t.Errorf("Rehit of a non-resident page changed state: %+v -> %+v", before, m.Stats())
+	}
+}
+
+// TestResetReusesManager checks that Reset clears residency, statistics
+// and the LRU in place, bumps the generation, and that a warmed manager
+// faults, evicts and resets without allocating.
+func TestResetReusesManager(t *testing.T) {
+	b := newTestBuffer(t, 64)
+	m := NewManager(ConfigWithPaging(24, false))
+	cycle := func() {
+		m.Reset()
+		for p := 0; p < 64; p += 3 {
+			m.Touch(b, int64(p*memsys.PageBytes), 64)
+		}
+	}
+	cycle()
+	if m.Stats().Evictions == 0 {
+		t.Fatal("cycle never evicted; capacity too large to exercise the free list")
+	}
+	gen := m.Generation()
+	m.Reset()
+	if m.Generation() != gen+1 || m.Resident() != 0 || m.Stats() != (Stats{}) {
+		t.Errorf("Reset left generation %d (want %d), %d resident, stats %+v", m.Generation(), gen+1, m.Resident(), m.Stats())
+	}
+	for p := 0; p < 64; p++ {
+		if b.PageResident(p) {
+			t.Fatalf("page %d still resident after Reset", p)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("warmed fault/evict/reset cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestThrashing(t *testing.T) {
 	// Working set of 8 pages with capacity 2: round-robin touches must
 	// migrate every time (the UVM thrash the paper describes in §2.2).
