@@ -346,10 +346,11 @@ type Request struct {
 	// Variant selects the kernel access pattern (ignored by
 	// fixed-variant specialty kernels).
 	Variant Variant
-	// Cold evicts UVM residency and staged edge segments before the run,
-	// so it starts with cold caches like the paper's measurement
-	// discipline (§5.2). Zero-copy runs are unaffected; for UVM and routed
-	// policy runs it makes results independent of what ran before.
+	// Cold evicts UVM residency before the run, so it starts with cold
+	// caches like the paper's measurement discipline (§5.2). Zero-copy runs
+	// are unaffected, and routed policy runs always start cold (their
+	// staged copies never outlive the run); for static UVM runs it makes
+	// results independent of what ran before.
 	Cold bool
 	// Policy, when non-nil, overrides the graph's loaded transport policy
 	// for this request only. An override whose static transport matches
@@ -496,8 +497,8 @@ func Algorithms() []*Algorithm {
 // measurement runs while keeping loaded graphs in place.
 func (s *System) ResetStats() { s.dev.ResetStats() }
 
-// ColdCaches evicts all UVM pages and all staged edge-list segments so the
-// next run starts cold, whatever transport policy it uses.
+// ColdCaches evicts all UVM pages so the next run starts cold, whatever
+// transport policy it uses (routed runs never inherit staged copies).
 func (s *System) ColdCaches() { s.dev.ResetUVMResidency() }
 
 // BuildDataset synthesizes one of the paper's six Table 2 dataset analogs

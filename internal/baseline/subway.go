@@ -113,7 +113,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app string, src int, cfg SubwayCon
 	}
 
 	clock0 := dev.Clock()
-	stats0 := dev.Total()
+	mark := dev.Mark()
 	arena := dev.Arena()
 
 	// Persistent device state: the value array lives in GPU memory for the
@@ -215,7 +215,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app string, src int, cfg SubwayCon
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    dev.Clock() - clock0,
-		Stats:      dev.Total().Sub(stats0),
+		Stats:      dev.Since(mark),
 	}, nil
 }
 

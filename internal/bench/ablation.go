@@ -269,7 +269,7 @@ func AblationHybrid(ds *Datasets) (*Table, error) {
 	}
 	for _, share := range []float64{0, 0.1, 0.2, 0.4, 0.8} {
 		dev := newV100(cfg)
-		h, err := core.NewHybridSystem(dev, g, 8, core.DefaultHybridConfig(share))
+		h, err := core.NewHybridSystem(dev, g, 8, share)
 		if err != nil {
 			return nil, err
 		}

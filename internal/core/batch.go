@@ -470,7 +470,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		Transport: pol.Name(), Graph: dg.Graph.Name})
 	defer dev.EndRun()
 	clockStart := dev.Clock()
-	statStart := dev.Total()
+	mark := dev.Mark()
 
 	br := &batchRun{
 		dev: dev, dg: dg, prog: prog,
@@ -571,7 +571,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// Download the lane-major array once and slice it per lane.
 	dev.CopyToHost(int64(n) * int64(k) * 4)
 	elapsed := dev.Clock() - clockStart
-	stats := dev.Total().Sub(statStart)
+	stats := dev.Since(mark)
 	out := &BatchOutcome{
 		Results:        make([]BatchItem, k),
 		BatchedRun:     true,

@@ -24,9 +24,8 @@ func bfsProgram() *Program {
 			}
 			return graph.InfDist
 		},
-		Seed:     func(v, src int) bool { return v == src },
-		Push:     func(sv uint32) uint32 { return sv + 1 },
-		Validate: ValidateBFS,
+		Seed: func(v, src int) bool { return v == src },
+		Push: func(sv uint32) uint32 { return sv + 1 },
 	}
 }
 

@@ -208,7 +208,7 @@ func TestCancelSpecialtyTopologies(t *testing.T) {
 
 	t.Run("hybrid", func(t *testing.T) {
 		dev := testDevice()
-		h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(0.3))
+		h, err := NewHybridSystem(dev, g, 8, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,9 +24,6 @@ func ccProgram() *Program {
 		NoSource: true,
 		Init:     func(v, src int) uint32 { return uint32(v) },
 		Seed:     func(v, src int) bool { return true },
-		Validate: func(g *graph.CSR, _ int, values []uint32) error {
-			return ValidateCC(g, values)
-		},
 	}
 }
 

@@ -153,7 +153,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			return res.Values, nil
 		}},
 		{"hybrid-0.3", func(g *graph.CSR, src int) ([]uint32, error) {
-			h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
+			h, err := NewHybridSystem(testDevice(), g, 8, 0.3)
 			if err != nil {
 				return nil, err
 			}

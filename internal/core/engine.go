@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/graph"
 	"repro/internal/memsys"
 )
 
@@ -151,8 +150,9 @@ const (
 )
 
 // Program declares one traversal algorithm over the frontier engine. A new
-// application is a Program plus a registry entry — no engine changes (see
-// sswp.go for the worked example, and DESIGN.md §10 for the schema).
+// application is a Program, a registry entry, and a Result.Validate case
+// for its CPU reference — no engine changes (see sswp.go for the worked
+// example, and DESIGN.md §10 for the schema).
 type Program struct {
 	// App is the Result.App / telemetry label ("BFS", "SSSP", ...).
 	App string
@@ -175,8 +175,6 @@ type Program struct {
 	// neighbors (before Combine folds in the edge weight). Nil means
 	// identity; BFS pushes sv+1.
 	Push func(sv uint32) uint32
-	// Validate checks a finished value array against the CPU reference.
-	Validate func(g *graph.CSR, src int, values []uint32) error
 }
 
 // push applies the Program's push map (identity when nil).
@@ -537,8 +535,8 @@ func (hr *hybridRun) round(level uint32) bool {
 			}
 		}
 	}
-	cpuTime := h.cfg.CPUIterOverhead +
-		time.Duration(float64(cpuBytes)/h.cfg.CPUScanBytesPerSec*float64(time.Second))
+	cpuTime := cpuIterOverhead +
+		time.Duration(float64(cpuBytes)/cpuScanBytesPerSec*float64(time.Second))
 
 	levelTime := gpuTime
 	if cpuTime > levelTime {
@@ -582,7 +580,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
 		Transport: h.dg.Policy.Name(), Graph: g.Name})
 	defer dev.EndRun()
-	statStart := dev.Total()
+	mark := dev.Mark()
 
 	labels, err := dev.Arena().Alloc("hbfs.labels", memsys.SpaceGPU, int64(n)*4)
 	if err != nil {
@@ -632,7 +630,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
-		Stats:      dev.Total().Sub(statStart),
+		Stats:      dev.Since(mark),
 		Policy:     h.dg.Policy.Name(),
 	}, nil
 }
@@ -778,9 +776,9 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 			}
 		}
 	}
-	statStart := make([]gpu.KernelStats, nd)
+	marks := make([]gpu.StatsMark, nd)
 	for i, dev := range ms.devs {
-		statStart[i] = dev.Total()
+		marks[i] = dev.Mark()
 		var err error
 		mr.values[i], err = dev.Arena().Alloc("mgpu.values", memsys.SpaceGPU, int64(n)*4)
 		if err != nil {
@@ -832,7 +830,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	copy(out, mr.prev)
 	var stats gpu.KernelStats
 	for i, dev := range ms.devs {
-		d := dev.Total().Sub(statStart[i])
+		d := dev.Since(marks[i])
 		stats.Add(&d)
 	}
 	freeAll()
@@ -859,7 +857,7 @@ type runState struct {
 	flag       *memsys.Buffer
 	freeList   []*memsys.Buffer
 	clockStart time.Duration
-	statStart  gpu.KernelStats
+	mark       gpu.StatsMark
 }
 
 func newRunState(dev *gpu.Device) (*runState, error) {
@@ -871,7 +869,7 @@ func newRunState(dev *gpu.Device) (*runState, error) {
 		dev:        dev,
 		flag:       flag,
 		clockStart: dev.Clock(),
-		statStart:  dev.Total(),
+		mark:       dev.Mark(),
 	}
 	rs.freeList = append(rs.freeList, flag)
 	return rs, nil
@@ -929,6 +927,6 @@ func (rs *runState) finish(app string, variant Variant, src int, values *memsys.
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    rs.dev.Clock() - rs.clockStart,
-		Stats:      rs.dev.Total().Sub(rs.statStart),
+		Stats:      rs.dev.Since(rs.mark),
 	}
 }

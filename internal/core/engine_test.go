@@ -138,7 +138,7 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 
 	hdev := testDevice()
 	hdev.SetTelemetry(rec)
-	h, err := NewHybridSystem(hdev, g, 8, DefaultHybridConfig(0.3))
+	h, err := NewHybridSystem(hdev, g, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		})
 		run("bfs-hybrid0.3", func() (*Result, error) {
-			h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
+			h, err := NewHybridSystem(testDevice(), g, 8, 0.3)
 			if err != nil {
 				return nil, err
 			}

@@ -17,29 +17,16 @@ import (
 // with zero-copy reads, and the two label replicas are min-reduced between
 // levels.
 
-// HybridConfig sets the CPU side's capabilities.
-type HybridConfig struct {
-	// CPUShare is the fraction of arcs assigned to the CPU partition
-	// (0 disables the CPU side; 1 disables the GPU side).
-	CPUShare float64
-	// CPUScanBytesPerSec is the CPU's effective edge-scan throughput:
+// The calibrated host model of the CPU side.
+const (
+	// cpuScanBytesPerSec is the CPU's effective edge-scan throughput:
 	// multi-threaded pointer-chasing over DDR4 lands far below streaming
 	// bandwidth; ~3 GB/s is typical for a modern two-socket host.
-	CPUScanBytesPerSec float64
-	// CPUIterOverhead is the fixed per-level cost of the CPU worker
+	cpuScanBytesPerSec = 3e9
+	// cpuIterOverhead is the fixed per-level cost of the CPU worker
 	// (thread wakeup, frontier scan).
-	CPUIterOverhead time.Duration
-}
-
-// DefaultHybridConfig returns the calibrated host model with the given
-// CPU share.
-func DefaultHybridConfig(share float64) HybridConfig {
-	return HybridConfig{
-		CPUShare:           share,
-		CPUScanBytesPerSec: 3e9,
-		CPUIterOverhead:    5 * time.Microsecond,
-	}
-}
+	cpuIterOverhead = 5 * time.Microsecond
+)
 
 // HybridSystem pairs one simulated GPU with the host CPU over a shared
 // graph.
@@ -47,30 +34,28 @@ type HybridSystem struct {
 	dev   *gpu.Device
 	dg    *DeviceGraph
 	graph *graph.CSR
-	cfg   HybridConfig
 	split int // first GPU-owned vertex; CPU owns [0, split)
 }
 
-// NewHybridSystem uploads g and computes the arc-balanced split point.
-func NewHybridSystem(dev *gpu.Device, g *graph.CSR, edgeBytes int, cfg HybridConfig) (*HybridSystem, error) {
-	if cfg.CPUShare < 0 || cfg.CPUShare > 1 {
-		return nil, fmt.Errorf("core: CPU share %v outside [0, 1]", cfg.CPUShare)
-	}
-	if cfg.CPUScanBytesPerSec <= 0 {
-		return nil, fmt.Errorf("core: CPU scan rate must be positive")
+// NewHybridSystem uploads g and computes the arc-balanced split point:
+// cpuShare is the fraction of arcs assigned to the CPU partition (0
+// disables the CPU side; 1 disables the GPU side).
+func NewHybridSystem(dev *gpu.Device, g *graph.CSR, edgeBytes int, cpuShare float64) (*HybridSystem, error) {
+	if cpuShare < 0 || cpuShare > 1 {
+		return nil, fmt.Errorf("core: CPU share %v outside [0, 1]", cpuShare)
 	}
 	dg, err := Upload(dev, g, StaticPolicyFor(ZeroCopy), edgeBytes, PlaceAuto)
 	if err != nil {
 		return nil, err
 	}
-	target := int64(float64(g.NumEdges()) * cfg.CPUShare)
+	target := int64(float64(g.NumEdges()) * cpuShare)
 	split := 0
 	var acc int64
 	for split < g.NumVertices() && acc < target {
 		acc += g.Degree(split)
 		split++
 	}
-	return &HybridSystem{dev: dev, dg: dg, graph: g, cfg: cfg, split: split}, nil
+	return &HybridSystem{dev: dev, dg: dg, graph: g, split: split}, nil
 }
 
 // Split returns the first GPU-owned vertex: the CPU owns [0, Split).

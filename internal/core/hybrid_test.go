@@ -13,7 +13,7 @@ func TestHybridBFSCorrectness(t *testing.T) {
 	for _, g := range testGraphs() {
 		for _, share := range []float64{0, 0.2, 0.5, 1.0} {
 			dev := testDevice()
-			h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(share))
+			h, err := NewHybridSystem(dev, g, 8, share)
 			if err != nil {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
@@ -41,7 +41,7 @@ func TestTopologyResultsNamePolicy(t *testing.T) {
 	for _, dev := range devs {
 		dev.SetTelemetry(rec)
 	}
-	h, err := NewHybridSystem(devs[0], g, 8, DefaultHybridConfig(0.3))
+	h, err := NewHybridSystem(devs[0], g, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +77,13 @@ func TestTopologyResultsNamePolicy(t *testing.T) {
 func TestHybridValidation(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	if _, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(-0.1)); err == nil {
+	if _, err := NewHybridSystem(dev, g, 8, -0.1); err == nil {
 		t.Errorf("negative share accepted")
 	}
-	if _, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(1.5)); err == nil {
+	if _, err := NewHybridSystem(dev, g, 8, 1.5); err == nil {
 		t.Errorf("share above 1 accepted")
 	}
-	cfg := DefaultHybridConfig(0.5)
-	cfg.CPUScanBytesPerSec = 0
-	if _, err := NewHybridSystem(dev, g, 8, cfg); err == nil {
-		t.Errorf("zero CPU rate accepted")
-	}
-	h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
+	h, err := NewHybridSystem(testDevice(), g, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +96,7 @@ func TestHybridSplitTracksShare(t *testing.T) {
 	g := graph.Urand("gu", 5000, 16, 1)
 	var prev int
 	for _, share := range []float64{0, 0.25, 0.5, 1.0} {
-		h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(share))
+		h, err := NewHybridSystem(testDevice(), g, 8, share)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +108,7 @@ func TestHybridSplitTracksShare(t *testing.T) {
 	if prev != g.NumVertices() {
 		t.Errorf("share 1.0 should hand the whole graph to the CPU")
 	}
-	h0, _ := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0))
+	h0, _ := NewHybridSystem(testDevice(), g, 8, 0)
 	if h0.Split() != 0 {
 		t.Errorf("share 0 should hand nothing to the CPU")
 	}
@@ -127,7 +122,7 @@ func TestHybridOffloadHelpsUpToAPoint(t *testing.T) {
 	src := graph.PickSources(g, 1, 1)[0]
 	times := map[float64]time.Duration{}
 	for _, share := range []float64{0, 0.15, 0.9} {
-		h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(share))
+		h, err := NewHybridSystem(testDevice(), g, 8, share)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		}},
 		{"hybrid-0.3", func(dev *gpu.Device) (*Result, error) {
-			h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(0.3))
+			h, err := NewHybridSystem(dev, g, 8, 0.3)
 			if err != nil {
 				return nil, err
 			}

@@ -116,7 +116,8 @@ type PartitionState struct {
 	Since int
 	// Staged reports whether the partition's explicit device copy is
 	// resident (staying resident across rounds makes re-choosing staged
-	// free until ColdCaches evicts it).
+	// free; the copy is dropped when the partition leaves the substrate or
+	// the run ends). It is the only record of staged residency.
 	Staged bool
 	// HostCached reports whether a CXL-homed partition's host-DRAM copy is
 	// resident (re-choosing ChoiceHostCached is then free; leaving the
@@ -171,12 +172,6 @@ type CostParams struct {
 	// re-migrates chunks, so an over-budget UVM incumbent costs its
 	// migration again instead of zero. Negative means unlimited.
 	UVMBudgetBytes int64
-	// HoldRounds is the hysteresis dwell: a partition keeps its substrate
-	// for at least this many rounds before switching again.
-	HoldRounds int
-	// SwitchMargin is the hysteresis margin: a new substrate must beat the
-	// current one's estimated cost by this factor to displace it.
-	SwitchMargin float64
 
 	// CXL-tier constants, the external-link analogues of the fields above.
 	// All zero on two-tier systems, where no partition is CXL-homed and
@@ -281,6 +276,17 @@ func StaticPolicyFor(t Transport) TransportPolicy { return staticPolicy{t} }
 // the budget fall back to the next-cheapest substrate.
 type adaptivePolicy struct{}
 
+// The adaptive rule's hysteresis. They belong to the policy, not to the
+// platform, so they are not part of CostParams.
+const (
+	// adaptiveHoldRounds is the dwell: a partition keeps its substrate for
+	// at least this many rounds before switching again.
+	adaptiveHoldRounds = 2
+	// adaptiveSwitchMargin is the margin: a new substrate must beat the
+	// current one's estimated cost by this factor to displace it.
+	adaptiveSwitchMargin = 1.25
+)
+
 func (adaptivePolicy) Name() string { return "adaptive" }
 
 func (adaptivePolicy) Description() string {
@@ -350,10 +356,6 @@ func adaptiveCosts(p PartitionStats, st PartitionState, costs CostParams, uvmThr
 }
 
 func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []PartitionState, costs CostParams, out []Choice) {
-	margin := costs.SwitchMargin
-	if margin <= 0 {
-		margin = 1
-	}
 	// UVM residency check: when more bytes are UVM-bound than the page
 	// cache holds, the LRU is thrashing — incumbents pay migration every
 	// round, and escaping that is an emergency the dwell must not block.
@@ -374,7 +376,7 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 	for i := range parts {
 		st := state[i]
 		out[i] = st.Choice
-		dwellOK := st.Since < 0 || round-st.Since >= costs.HoldRounds ||
+		dwellOK := st.Since < 0 || round-st.Since >= adaptiveHoldRounds ||
 			(st.Choice == ChoiceUVM && uvmThrash)
 		if parts[i].AccessedBytes == 0 {
 			// Cold partition: after the dwell, release non-zero-copy
@@ -426,7 +428,7 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 			if cand.c == st.Choice {
 				continue
 			}
-			if cand.cost*margin < bestCost && dwellOK {
+			if cand.cost*adaptiveSwitchMargin < bestCost && dwellOK {
 				best, bestCost = cand.c, cand.cost
 			}
 		}
@@ -469,7 +471,7 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 			if state[s.idx].Choice == ChoiceZeroCopy {
 				zc += state[s.idx].SpentSeconds
 			}
-			if uvmc*margin < zc {
+			if uvmc*adaptiveSwitchMargin < zc {
 				out[s.idx] = ChoiceUVM
 			} else if state[s.idx].Choice == ChoiceStaged {
 				out[s.idx] = ChoiceZeroCopy
@@ -495,7 +497,7 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 			if state[s.idx].Choice == ChoiceZeroCopy {
 				zc += state[s.idx].SpentSeconds
 			}
-			if uvmc*margin < zc {
+			if uvmc*adaptiveSwitchMargin < zc {
 				out[s.idx] = ChoiceUVM
 			} else if state[s.idx].Choice == ChoiceHostCached {
 				out[s.idx] = ChoiceZeroCopy

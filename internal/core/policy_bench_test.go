@@ -19,8 +19,6 @@ func BenchmarkAdaptiveDecide(b *testing.B) {
 		UVMChunkBytes:         128 << 10,
 		StagedBudgetBytes:     512 << 10,
 		UVMBudgetBytes:        768 << 10,
-		HoldRounds:            2,
-		SwitchMargin:          1.25,
 	}
 	parts := make([]PartitionStats, nParts)
 	state := make([]PartitionState, nParts)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/memsys"
 	"repro/internal/pcie"
+	"repro/internal/uvm"
 )
 
 // policyRuntime is the engine-side glue for routed transport policies: it
@@ -102,8 +103,8 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	rt.costs = rt.deriveCosts()
 	rt.seedDegreePrior()
 
-	// Replay determinism: every routed run starts cold — no UVM pages, no
-	// staged segments inherited from a previous run — so the decision
+	// Replay determinism: every routed run starts cold — no UVM pages, and
+	// staged copies live only in this runtime's fresh state — so the decision
 	// sequence is a pure function of (graph, rounds, frontier), and a
 	// fault-injected retry replays it identically.
 	dev.ResetUVMResidency()
@@ -120,9 +121,9 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	return rt
 }
 
-// close removes the router. Staged segment copies and UVM residency stay
-// for warm reruns; ColdCaches (or the next routed run's cold start) evicts
-// them.
+// close removes the router. UVM residency stays until ColdCaches or the
+// next routed run's cold start evicts it; the run's staged copies live only
+// in its PartitionState, so the next routed run starts with none.
 func (rt *policyRuntime) close() {
 	rt.dg.Edges.SpaceFn = nil
 	if rt.dg.Weights != nil {
@@ -218,7 +219,7 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 	cfg := rt.dev.Config()
 	link := cfg.Tiers.DRAM().Link
 	uvmCfg := rt.dev.UVM().Config()
-	pageBytes := int64(uvmCfg.PageBytes)
+	const pageBytes = int64(memsys.PageBytes)
 	chunk := int64(uvmCfg.BlockPages) * pageBytes
 	if chunk < pageBytes {
 		chunk = pageBytes
@@ -227,7 +228,7 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 	// fault handler — the serialized handler cost per page. GPU-driven
 	// paging pays link tag occupancy instead, so its rate is the larger of
 	// the wire and tag occupancies, mirroring the device's accounting.
-	pageSeconds := uvmPageSeconds(link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
+	pageSeconds := uvmPageSeconds(link, pageBytes, uvmCfg.GPUDriven)
 	budget := rt.dev.Arena().GPUFree()
 	// The UVM page cache holds at most the GPU's free memory; binding more
 	// than that makes the driver's LRU evict between rounds, so residency
@@ -253,30 +254,24 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 			uvmBudget = uvmBudget * ew / (ew + 4)
 		}
 	}
-	perWarp := cfg.PerWarpOutstanding
-	if perWarp < 1 {
-		perWarp = 1
-	}
 	cp := CostParams{
 		SegmentBytes:          rt.segBytes,
 		ZCBytesPerSec:         link.EffectiveBandwidth(memsys.CacheLineBytes),
 		ZCSecondsPerRequest:   link.TagSeconds(),
-		CritSecondsPerRequest: link.RTT.Seconds() / float64(perWarp),
+		CritSecondsPerRequest: link.RTT.Seconds() / gpu.PerWarpOutstanding,
 		BulkBytesPerSec:       link.MemcpyPeak(),
 		UVMBytesPerSec:        float64(pageBytes) / pageSeconds,
 		UVMChunkBytes:         chunk,
 		StagedBudgetBytes:     budget,
 		UVMBudgetBytes:        uvmBudget,
-		HoldRounds:            2,
-		SwitchMargin:          1.25,
 		HostCacheBudgetBytes:  -1,
 	}
 	if cxlT := rt.dev.Arena().CXLTier(); cxlT != nil {
 		cp.CXLBytesPerSec = cxlT.Link.EffectiveBandwidth(memsys.CacheLineBytes)
 		cp.CXLSecondsPerRequest = cxlT.Link.TagSeconds()
-		cp.CXLCritSecondsPerRequest = cxlT.Link.RTT.Seconds() / float64(perWarp)
+		cp.CXLCritSecondsPerRequest = cxlT.Link.RTT.Seconds() / gpu.PerWarpOutstanding
 		cp.CXLBulkBytesPerSec = cxlT.Link.MemcpyPeak()
-		cxlPageSeconds := uvmPageSeconds(cxlT.Link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
+		cxlPageSeconds := uvmPageSeconds(cxlT.Link, pageBytes, uvmCfg.GPUDriven)
 		cp.CXLUVMBytesPerSec = float64(pageBytes) / cxlPageSeconds
 		// Host-cache promotions compete with pinned allocations for host
 		// DRAM; leave the same headroom fraction the staged budget does.
@@ -293,10 +288,10 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 // bulk transfer plus the serialized CPU fault handler, or — GPU-driven —
 // the larger of the transfer's wire and tag occupancies (the device charges
 // one full-size request's tag per 128 bytes instead of the handler).
-func uvmPageSeconds(lnk pcie.LinkConfig, pageBytes int64, faultCPUSeconds float64, gpuDriven bool) float64 {
+func uvmPageSeconds(lnk pcie.LinkConfig, pageBytes int64, gpuDriven bool) float64 {
 	s := lnk.BulkSeconds(pageBytes)
 	if !gpuDriven {
-		return s + faultCPUSeconds
+		return s + uvm.FaultCPUSeconds
 	}
 	if tag := float64(pageBytes/128) * lnk.TagSeconds(); tag > s {
 		s = tag
@@ -485,13 +480,11 @@ func (rt *policyRuntime) applyDecisions(round int) {
 			} else {
 				stageBytes += n
 			}
-			rt.dg.Edges.SetSegmentStaged(p, true)
 			rt.state[p].Staged = true
 		}
 		if oldC == ChoiceStaged && newC != ChoiceStaged {
 			// Leaving the staged substrate releases the copy (and its
 			// budget); re-entry pays the upload again.
-			rt.dg.Edges.SetSegmentStaged(p, false)
 			rt.state[p].Staged = false
 		}
 		if newC == ChoiceHostCached && !rt.state[p].HostCached {

@@ -24,8 +24,7 @@ func ssspProgram() *Program {
 			}
 			return graph.InfDist
 		},
-		Seed:     func(v, src int) bool { return v == src },
-		Validate: ValidateSSSP,
+		Seed: func(v, src int) bool { return v == src },
 	}
 }
 

@@ -35,8 +35,7 @@ func sswpProgram() *Program {
 			}
 			return 0
 		},
-		Seed:     func(v, src int) bool { return v == src },
-		Validate: ValidateSSWP,
+		Seed: func(v, src int) bool { return v == src },
 	}
 }
 

@@ -109,7 +109,7 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		Transport: StaticPolicyFor(transport).Name(), Graph: "1d-array"})
 	defer dev.EndRun()
 	clock0 := dev.Clock()
-	stats0 := dev.Total()
+	mark := dev.Mark()
 	mon0 := dev.Monitor().Snapshot()
 
 	var ks *gpu.KernelStats
@@ -152,36 +152,18 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 	}
 
 	elapsed := dev.Clock() - clock0
-	kernelTime := ks.Elapsed - dev.Config().LaunchOverhead
+	kernelTime := ks.Elapsed - gpu.LaunchOverhead
 	res := &ToyResult{
 		Pattern:   pattern,
 		Transport: transport,
 		Elems:     elems,
 		Elapsed:   elapsed,
-		Stats:     dev.Total().Sub(stats0),
+		Stats:     dev.Since(mark),
 	}
-	snap := dev.Monitor().Snapshot()
-	res.Snapshot = subtractSnapshots(snap, mon0)
+	res.Snapshot = dev.Monitor().Snapshot().Sub(mon0)
 	if kernelTime > 0 {
 		res.PCIeBandwidth = float64(res.Stats.PCIePayloadBytes) / kernelTime.Seconds()
 		res.DRAMBandwidth = float64(res.Stats.HostDRAMBytes) / kernelTime.Seconds()
 	}
 	return res, nil
-}
-
-// subtractSnapshots returns the delta of two monitor snapshots.
-func subtractSnapshots(now, before pcie.Snapshot) pcie.Snapshot {
-	by := make(map[int64]uint64)
-	for k, v := range now.BySize {
-		if d := v - before.BySize[k]; d > 0 {
-			by[k] = d
-		}
-	}
-	return pcie.Snapshot{
-		Requests:     now.Requests - before.Requests,
-		PayloadBytes: now.PayloadBytes - before.PayloadBytes,
-		WireBytes:    now.WireBytes - before.WireBytes,
-		BySize:       by,
-		AvgBandwidth: now.AvgBandwidth,
-	}
 }

@@ -35,6 +35,29 @@ import (
 // WarpSize is the number of threads (lanes) per warp.
 const WarpSize = 32
 
+// Calibrated platform constants of the modeled V100 (§3.3, Table 1). They
+// describe the hardware the paper measured, not a deployment choice.
+const (
+	// LaunchOverhead is the fixed driver+hardware cost of one kernel launch.
+	LaunchOverhead = 8 * time.Microsecond
+
+	// CopyOverhead is the fixed driver cost of one explicit memcpy call.
+	CopyOverhead = 10 * time.Microsecond
+
+	// WarpInstrPerSec is the aggregate warp-instruction throughput used for
+	// the compute term of the roofline. Graph traversal is bandwidth-bound,
+	// so this only matters as a floor for fully in-memory runs.
+	WarpInstrPerSec = 1.2e11
+
+	// PerWarpOutstanding is the number of host-memory read requests one
+	// warp can keep in flight (load/store unit scoreboard depth). It
+	// bounds a single warp's streaming rate and therefore the critical
+	// path of kernels with extremely long neighbor lists — the load
+	// imbalance the paper's §6 discusses delegating to workload-balancing
+	// schemes [38, 39].
+	PerWarpOutstanding = 32
+)
+
 // Config describes one simulated GPU and its attachment to the host.
 type Config struct {
 	Name string
@@ -54,17 +77,6 @@ type Config struct {
 	// differs. See uvm.Config.GPUDriven.
 	GPUDrivenPaging bool
 
-	// LaunchOverhead is the fixed driver+hardware cost of one kernel launch.
-	LaunchOverhead time.Duration
-
-	// CopyOverhead is the fixed driver cost of one explicit memcpy call.
-	CopyOverhead time.Duration
-
-	// WarpInstrPerSec is the aggregate warp-instruction throughput used for
-	// the compute term of the roofline. Graph traversal is bandwidth-bound,
-	// so this only matters as a floor for fully in-memory runs.
-	WarpInstrPerSec float64
-
 	// L2Bytes is the GPU cache capacity available to hold zero-copy
 	// sectors between a thread's sequential touches. Scaled along with
 	// the HBM capacity in scaled systems. When the concurrent stream
@@ -79,14 +91,6 @@ type Config struct {
 	// systems so the streams-vs-cache ratio of the full-size machine is
 	// preserved.
 	MaxConcurrentLanes int
-
-	// PerWarpOutstanding is the number of host-memory read requests one
-	// warp can keep in flight (load/store unit scoreboard depth). It
-	// bounds a single warp's streaming rate and therefore the critical
-	// path of kernels with extremely long neighbor lists — the load
-	// imbalance the paper's §6 discusses delegating to workload-balancing
-	// schemes [38, 39].
-	PerWarpOutstanding int
 
 	// Workers is the number of host worker goroutines a kernel launch
 	// spreads its warps over. 0 selects runtime.GOMAXPROCS(0); 1 executes
@@ -227,9 +231,11 @@ func (s *KernelStats) Add(o *KernelStats) {
 	s.Elapsed += o.Elapsed
 }
 
-// Sub returns s - prev, field by field. Use with two Total() snapshots to
-// isolate one run's activity.
-func (s KernelStats) Sub(prev KernelStats) KernelStats {
+// sub returns s - prev, field by field, for every summed field. The
+// max-aggregated critical-path counters (MaxWarpHostReqs, MaxWarpCXLReqs)
+// cannot be differenced and come back zero; Device.Since recomputes them
+// over the kernels of the window.
+func (s KernelStats) sub(prev KernelStats) KernelStats {
 	return KernelStats{
 		Name:                 s.Name,
 		Warps:                s.Warps - prev.Warps,
@@ -246,8 +252,6 @@ func (s KernelStats) Sub(prev KernelStats) KernelStats {
 		ZCSectorReuses:       s.ZCSectorReuses - prev.ZCSectorReuses,
 		ZCActiveLanes:        s.ZCActiveLanes - prev.ZCActiveLanes,
 		ZCRefetches:          s.ZCRefetches - prev.ZCRefetches,
-		MaxWarpHostReqs:      s.MaxWarpHostReqs, // max-aggregated; delta is the value itself
-		MaxWarpCXLReqs:       s.MaxWarpCXLReqs,
 		FaultedReads:         s.FaultedReads - prev.FaultedReads,
 		LatencySpikes:        s.LatencySpikes - prev.LatencySpikes,
 		ReorderMerged:        s.ReorderMerged - prev.ReorderMerged,
@@ -321,15 +325,6 @@ func NewDevice(cfg Config) *Device {
 		panic(fmt.Sprintf("gpu: invalid Config.Tiers (build one with memsys.TwoTier): %v", err))
 	}
 	cfg.Tiers = slices.Clone(cfg.Tiers)
-	if cfg.LaunchOverhead == 0 {
-		cfg.LaunchOverhead = 8 * time.Microsecond
-	}
-	if cfg.CopyOverhead == 0 {
-		cfg.CopyOverhead = 10 * time.Microsecond
-	}
-	if cfg.WarpInstrPerSec == 0 {
-		cfg.WarpInstrPerSec = 1.2e11
-	}
 	if cfg.L2Bytes == 0 {
 		cfg.L2Bytes = 6 << 20 // full-size V100 L2
 	}
@@ -338,9 +333,6 @@ func NewDevice(cfg Config) *Device {
 	}
 	if cfg.ThrashSensitivity == 0 {
 		cfg.ThrashSensitivity = 0.40
-	}
-	if cfg.PerWarpOutstanding == 0 {
-		cfg.PerWarpOutstanding = 32
 	}
 	arena, err := memsys.NewTieredArena(cfg.Tiers)
 	if err != nil {
@@ -405,6 +397,29 @@ func (d *Device) Kernels() []*KernelStats { return d.kernels }
 // Total returns aggregate statistics over all launches and copies.
 func (d *Device) Total() KernelStats { return d.total }
 
+// StatsMark is a point in a device's activity history, taken by Mark.
+type StatsMark struct {
+	total   KernelStats
+	kernels int
+}
+
+// Mark records the device's activity so far; Since(mark) later returns
+// only what happened after it. A ResetStats in between invalidates the
+// mark.
+func (d *Device) Mark() StatsMark { return StatsMark{d.total, len(d.kernels)} }
+
+// Since returns the device's activity after m: the growth of every summed
+// counter, and the critical-path maxima over the kernels launched since m
+// alone, so a run's stats never inherit an earlier run's busiest warp.
+func (d *Device) Since(m StatsMark) KernelStats {
+	s := d.total.sub(m.total)
+	for _, ks := range d.kernels[m.kernels:] {
+		s.MaxWarpHostReqs = max(s.MaxWarpHostReqs, ks.MaxWarpHostReqs)
+		s.MaxWarpCXLReqs = max(s.MaxWarpCXLReqs, ks.MaxWarpCXLReqs)
+	}
+	return s
+}
+
 // ResetStats clears the clock, kernel log, monitor, and UVM statistics,
 // but keeps allocations and UVM residency. Use ResetUVMResidency for a cold
 // run. Capacity is retained — the kernel log and the stats slab behind it
@@ -419,16 +434,13 @@ func (d *Device) ResetStats() {
 	d.mon.Reset()
 }
 
-// ResetUVMResidency evicts all UVM pages and all explicitly staged segment
-// copies so the next run starts cold, and refreshes the UVM capacity from
-// current free GPU memory. Staged segments belong to the batched-copy
-// transport substrate; dropping them here keeps cold-vs-warm comparisons
-// honest across policies (System.ColdCaches routes through this). The UVM
-// manager is reset in place, keeping its warmed page table.
+// ResetUVMResidency evicts all UVM pages so the next run starts cold, and
+// refreshes the UVM capacity from current free GPU memory
+// (System.ColdCaches routes through this). The UVM manager is reset in
+// place, keeping its warmed page table.
 func (d *Device) ResetUVMResidency() {
 	d.uvmgr.Reset()
 	d.uvmgr.SetCapacityPages(d.uvmCapacityPages())
-	d.arena.ResetStaged()
 }
 
 // finish folds the per-size zero-copy request counts into the link roofline
@@ -471,17 +483,15 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 		}
 		cxlTime = pcie.StreamSeconds(ks.CXLWireSeconds, ks.CXLTagSeconds)
 		cxlMemTime = cxlT.Mem.ServiceSeconds(int64(ks.CXLMemBytes))
-		cxlCrit = float64(ks.MaxWarpCXLReqs) * cxlT.Link.RTT.Seconds() /
-			float64(d.cfg.PerWarpOutstanding)
+		cxlCrit = float64(ks.MaxWarpCXLReqs) * cxlT.Link.RTT.Seconds() / PerWarpOutstanding
 	}
 	pcieTime := pcie.StreamSeconds(ks.WireSeconds, ks.TagSeconds)
 	hbmTime := d.hbm.ServiceSeconds(int64(ks.HBMBytes))
 	dramTime := d.dram.ServiceSeconds(int64(ks.HostDRAMBytes))
-	compTime := float64(ks.WarpInstrs) / d.cfg.WarpInstrPerSec
+	compTime := float64(ks.WarpInstrs) / WarpInstrPerSec
 	// Latency-bound critical path: the busiest warp streams at most
 	// PerWarpOutstanding requests per round trip.
-	critTime := float64(ks.MaxWarpHostReqs) * d.link.RTT.Seconds() /
-		float64(d.cfg.PerWarpOutstanding)
+	critTime := float64(ks.MaxWarpHostReqs) * d.link.RTT.Seconds() / PerWarpOutstanding
 	bottleneck := pcieTime
 	for _, t := range []float64{hbmTime, dramTime, compTime, ks.UVMSerialSeconds, critTime,
 		cxlTime, cxlMemTime, cxlCrit} {
@@ -489,7 +499,7 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 			bottleneck = t
 		}
 	}
-	ks.Elapsed = d.cfg.LaunchOverhead + time.Duration(bottleneck*float64(time.Second))
+	ks.Elapsed = LaunchOverhead + time.Duration(bottleneck*float64(time.Second))
 	if h := d.link.Faults; h != nil && ks.LatencySpikes > 0 {
 		// Injected latency spikes stall the kernel serially. Derived here
 		// from the merged integer count so the penalty — like the roofline
@@ -593,7 +603,7 @@ func (d *Device) bulkLink(lnk pcie.LinkConfig, n int64, record bool, class pcie.
 	if n < 0 {
 		panic("gpu: negative copy size")
 	}
-	dt := d.cfg.CopyOverhead + time.Duration(lnk.BulkSeconds(n)*float64(time.Second))
+	dt := CopyOverhead + time.Duration(lnk.BulkSeconds(n)*float64(time.Second))
 	if record && n > 0 {
 		d.mon.RecordBulkClass(n, lnk.TLPOverheadBytes, class)
 	}

@@ -13,7 +13,7 @@ import (
 func TestDeviceDefaults(t *testing.T) {
 	d := NewDevice(Config{Tiers: v100Tiers(0, 0)})
 	cfg := d.Config()
-	if cfg.LaunchOverhead == 0 || cfg.CopyOverhead == 0 || cfg.WarpInstrPerSec == 0 {
+	if cfg.L2Bytes == 0 || cfg.MaxConcurrentLanes == 0 || cfg.ThrashSensitivity == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
@@ -45,7 +45,7 @@ func TestLaunchAdvancesClock(t *testing.T) {
 	if d.Clock() <= before {
 		t.Errorf("clock did not advance")
 	}
-	if ks.Elapsed < d.Config().LaunchOverhead {
+	if ks.Elapsed < LaunchOverhead {
 		t.Errorf("elapsed %v below launch overhead", ks.Elapsed)
 	}
 	if ks.Warps != 4 {
@@ -84,7 +84,7 @@ func TestRooflineZeroCopyBandwidth(t *testing.T) {
 			w.GatherU64(buf, &idx, MaskFull)
 		}
 	})
-	dataTime := ks.Elapsed - d.Config().LaunchOverhead
+	dataTime := ks.Elapsed - LaunchOverhead
 	bw := float64(ks.PCIePayloadBytes) / dataTime.Seconds()
 	if math.Abs(bw/1e9-12.3) > 0.5 {
 		t.Errorf("streaming bandwidth = %.2f GB/s, want ~12.3", bw/1e9)
@@ -107,7 +107,7 @@ func TestRooflineStridedBandwidth(t *testing.T) {
 			w.GatherU64(buf, &idx, MaskFull)
 		}
 	})
-	dataTime := ks.Elapsed - d.Config().LaunchOverhead
+	dataTime := ks.Elapsed - LaunchOverhead
 	bw := float64(ks.PCIePayloadBytes) / dataTime.Seconds()
 	if math.Abs(bw/1e9-4.75) > 0.3 {
 		t.Errorf("strided bandwidth = %.2f GB/s, want ~4.75", bw/1e9)
@@ -190,7 +190,7 @@ func TestCopyToDevice(t *testing.T) {
 	d := testDevice()
 	before := d.Clock()
 	dt := d.CopyToDevice(1 << 20)
-	if dt <= d.Config().CopyOverhead {
+	if dt <= CopyOverhead {
 		t.Errorf("copy time %v should exceed overhead", dt)
 	}
 	if d.Clock()-before != dt {
@@ -313,17 +313,52 @@ func TestKernelStatsSub(t *testing.T) {
 		PCIePayloadBytes: 96, HostDRAMBytes: 128, UVMMigrations: 1, UVMHits: 2,
 		WireSeconds: 1, TagSeconds: 1, UVMSerialSeconds: 1, Elapsed: 4 * time.Second,
 		ZCSectorReuses: 1, ZCActiveLanes: 2, ZCRefetches: 1, MaxWarpHostReqs: 4}
-	d := a.Sub(b)
+	d := a.sub(b)
 	if d.Warps != 3 || d.WarpInstrs != 6 || d.HBMBytes != 12 || d.PCIeRequests != 4 ||
 		d.PCIePayloadBytes != 128 || d.HostDRAMBytes != 128 || d.UVMMigrations != 2 ||
 		d.UVMHits != 2 || d.WireSeconds != 1 || d.TagSeconds != 2 ||
 		d.UVMSerialSeconds != 3 || d.Elapsed != 6*time.Second ||
 		d.ZCSectorReuses != 5 || d.ZCActiveLanes != 6 || d.ZCRefetches != 1 {
-		t.Errorf("Sub wrong: %+v", d)
+		t.Errorf("sub wrong: %+v", d)
 	}
-	// MaxWarpHostReqs is max-aggregated: Sub keeps the current value.
-	if d.MaxWarpHostReqs != 9 {
-		t.Errorf("MaxWarpHostReqs = %d, want 9 (kept, not subtracted)", d.MaxWarpHostReqs)
+	// MaxWarpHostReqs is max-aggregated and cannot be differenced: sub
+	// zeroes it (Device.Since recomputes it over the window's kernels).
+	if d.MaxWarpHostReqs != 0 {
+		t.Errorf("MaxWarpHostReqs = %d, want 0 (a lifetime maximum is not a delta)", d.MaxWarpHostReqs)
+	}
+}
+
+// TestDeviceSinceMaxima: the critical-path maxima of a window are the
+// window's own, not the device's lifetime maximum, while summed counters
+// are plain deltas.
+func TestDeviceSinceMaxima(t *testing.T) {
+	d := testDevice()
+	buf := d.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 1<<16)
+	stream := func(lines int) *KernelStats {
+		return d.Launch("k", 1, func(w *Warp) {
+			var idx [WarpSize]int64
+			for l := 0; l < lines; l++ {
+				for i := range idx {
+					idx[i] = int64(l*WarpSize + i)
+				}
+				w.GatherU32(buf, &idx, MaskFull)
+			}
+		})
+	}
+	busy := stream(16)
+	m := d.Mark()
+	quiet := stream(2)
+	if busy.MaxWarpHostReqs <= quiet.MaxWarpHostReqs {
+		t.Fatalf("setup: busy warp %d requests, quiet %d", busy.MaxWarpHostReqs, quiet.MaxWarpHostReqs)
+	}
+	got := d.Since(m)
+	if got.MaxWarpHostReqs != quiet.MaxWarpHostReqs {
+		t.Errorf("Since.MaxWarpHostReqs = %d, want the window's own %d (lifetime max %d)",
+			got.MaxWarpHostReqs, quiet.MaxWarpHostReqs, d.Total().MaxWarpHostReqs)
+	}
+	if got.PCIeRequests != quiet.PCIeRequests || got.Warps != 1 {
+		t.Errorf("Since counters = %d requests / %d warps, want %d / 1",
+			got.PCIeRequests, got.Warps, quiet.PCIeRequests)
 	}
 }
 

@@ -196,7 +196,6 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 	}
 	shards := d.shardPool[:workers]
 	traceLimit := d.mon.TraceLimit()
-	pageBytes := int64(d.uvmgr.Config().PageBytes)
 	for i, sh := range shards {
 		sh.ks = KernelStats{}
 		sh.zcBySize = [zcSizeClasses]uint64{}
@@ -207,7 +206,7 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 			// truncates at the device monitor's remaining capacity.
 			sh.mon.EnableTrace(traceLimit)
 		}
-		sh.uvm.reset(pageBytes)
+		sh.uvm.reset()
 		sh.lo, sh.hi = ShardRange(warps, workers, i)
 		sh.body = body
 		w := &sh.w

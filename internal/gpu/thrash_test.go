@@ -139,7 +139,7 @@ func TestThrashPreservesBandwidthRate(t *testing.T) {
 		// Enough warps that aggregate parallelism hides the per-warp
 		// latency critical path.
 		ks := stridedKernel(d, buf, 64)
-		dataTime := (ks.Elapsed - d.Config().LaunchOverhead).Seconds()
+		dataTime := (ks.Elapsed - LaunchOverhead).Seconds()
 		bw := float64(ks.PCIePayloadBytes) / dataTime / 1e9
 		if bw < 4.4 || bw > 5.1 {
 			t.Errorf("strided rate = %.2f GB/s, want ~4.75 regardless of thrash", bw)

@@ -42,21 +42,17 @@ type uvmTouch struct {
 // backing array persists across launches, so steady-state launches append
 // without allocating.
 type uvmLog struct {
-	touches   []uvmTouch
-	pageBytes int64
+	touches []uvmTouch
 }
 
-// reset empties the log for a launch on a manager with the given page size.
-func (l *uvmLog) reset(pageBytes int64) {
-	l.touches = l.touches[:0]
-	l.pageBytes = pageBytes
-}
+// reset empties the log for a launch.
+func (l *uvmLog) reset() { l.touches = l.touches[:0] }
 
 // page returns the single page the access [off, off+size) lies in, or -1
 // when it spans two.
 func (l *uvmLog) page(off int64, size int) int64 {
-	p := off / l.pageBytes
-	if (off+int64(size)-1)/l.pageBytes != p {
+	p := off / memsys.PageBytes
+	if (off+int64(size)-1)/memsys.PageBytes != p {
 		return -1
 	}
 	return p
@@ -82,7 +78,7 @@ func (l *uvmLog) add(buf *memsys.Buffer, off int64, size int, trace uint64) {
 // the access's HBM bytes. Touches must reach touchUVM in serial order (see
 // the file comment).
 func (d *Device) touchUVM(ks *KernelStats, mon *pcie.Monitor, buf *memsys.Buffer, off int64, size int) {
-	pb := int64(d.uvmgr.Config().PageBytes)
+	pb := int64(memsys.PageBytes)
 	pagesTouched := int((off+int64(size)-1)/pb - off/pb + 1)
 	migrated := d.uvmgr.Touch(buf, off, size)
 	if migrated > 0 {
@@ -144,7 +140,7 @@ func (d *Device) replayUVM(ks *KernelStats, sh *launchShard) {
 		pos = t.trace
 		d.touchUVM(ks, &d.mon, t.buf, t.off, int(t.size))
 		for r := int(t.reps); r > 0; r-- {
-			if d.uvmgr.Rehit(t.buf, t.off/sh.uvm.pageBytes, r) {
+			if d.uvmgr.Rehit(t.buf, t.off/memsys.PageBytes, r) {
 				ks.UVMHits += uint64(r)
 				break
 			}

@@ -93,11 +93,6 @@ type Buffer struct {
 	// otherwise. Each entry tracks residency of one 4KB page.
 	pageState []bool
 
-	// segState tracks which SegmentBytes-sized segments have an explicit
-	// staged copy resident in GPU memory (the batched-copy substrate). Nil
-	// until the first SetSegmentStaged call.
-	segState []bool
-
 	// segHome, when non-nil, records each SegmentBytes-sized segment's home
 	// tier space — where the segment's backing bytes physically live. Nil
 	// (the default) means every segment is homed in Space. Placement across
@@ -175,37 +170,6 @@ func segLen(size int64, i int) int64 {
 // spans.
 func (b *Buffer) Segments() int {
 	return int((b.Size() + SegmentBytes - 1) / SegmentBytes)
-}
-
-// SegmentStaged reports whether segment i has a staged device copy.
-func (b *Buffer) SegmentStaged(i int) bool {
-	return b.segState != nil && i < len(b.segState) && b.segState[i]
-}
-
-// SetSegmentStaged marks segment i's staged-copy residency.
-func (b *Buffer) SetSegmentStaged(i int, staged bool) {
-	if b.segState == nil {
-		b.segState = make([]bool, b.Segments())
-	}
-	b.segState[i] = staged
-}
-
-// StagedSegments returns how many segments currently hold a staged copy.
-func (b *Buffer) StagedSegments() int {
-	n := 0
-	for _, s := range b.segState {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
-// ResetSegments drops all staged segment copies (e.g. on ColdCaches).
-func (b *Buffer) ResetSegments() {
-	for i := range b.segState {
-		b.segState[i] = false
-	}
 }
 
 // Size returns the buffer length in bytes.
@@ -512,27 +476,6 @@ func (a *Arena) HostFree() int64 {
 	return a.HostCapacity - a.hostUsed
 }
 
-// CXLFree returns the remaining external-tier capacity: -1 when the
-// attached tier is uncapped, 0 when no tier is attached.
-func (a *Arena) CXLFree() int64 {
-	if a.cxlTier == nil {
-		return 0
-	}
-	if a.CXLCapacity <= 0 {
-		return -1
-	}
-	return a.CXLCapacity - a.cxlUsed
-}
-
 // Buffers returns the live buffers in allocation order. The returned slice
 // is shared and must not be mutated.
 func (a *Arena) Buffers() []*Buffer { return a.buffers }
-
-// ResetStaged drops every staged segment copy across all live buffers.
-// Called from Device.ResetUVMResidency so ColdCaches evicts the explicit
-// batched-copy substrate alongside UVM pages.
-func (a *Arena) ResetStaged() {
-	for _, b := range a.buffers {
-		b.ResetSegments()
-	}
-}

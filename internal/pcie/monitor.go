@@ -258,7 +258,6 @@ type Snapshot struct {
 	PayloadBytes uint64
 	WireBytes    uint64
 	BySize       map[int64]uint64
-	ByClass      map[string]uint64 // payload bytes per transfer class (non-zero only)
 	AvgBandwidth float64
 }
 
@@ -268,19 +267,31 @@ func (m *Monitor) Snapshot() Snapshot {
 	for _, k := range m.sizeHist.Keys() {
 		by[k] = m.sizeHist.Count(k)
 	}
-	byClass := make(map[string]uint64)
-	for c := TransferClass(0); c < numTransferClasses; c++ {
-		if m.classBytes[c] > 0 {
-			byClass[c.String()] = m.classBytes[c]
-		}
-	}
 	return Snapshot{
 		Requests:     m.Requests(),
 		PayloadBytes: m.PayloadBytes(),
 		WireBytes:    m.WireBytes(),
 		BySize:       by,
-		ByClass:      byClass,
 		AvgBandwidth: m.AverageBandwidth(),
+	}
+}
+
+// Sub returns the traffic recorded between an earlier snapshot of the
+// same monitor, before, and s. BySize keeps only the sizes that grew.
+// AvgBandwidth is s's: a time-weighted mean does not difference.
+func (s Snapshot) Sub(before Snapshot) Snapshot {
+	by := make(map[int64]uint64)
+	for k, v := range s.BySize {
+		if d := v - before.BySize[k]; d > 0 {
+			by[k] = d
+		}
+	}
+	return Snapshot{
+		Requests:     s.Requests - before.Requests,
+		PayloadBytes: s.PayloadBytes - before.PayloadBytes,
+		WireBytes:    s.WireBytes - before.WireBytes,
+		BySize:       by,
+		AvgBandwidth: s.AvgBandwidth,
 	}
 }
 

@@ -125,6 +125,17 @@ func TestSnapshot(t *testing.T) {
 			t.Errorf("String() = %q missing %q", str, want)
 		}
 	}
+	// Sub isolates the traffic after an earlier snapshot, keeping only the
+	// sizes that grew.
+	m.Record(128, 24)
+	m.Record(64, 24)
+	d := m.Snapshot().Sub(s)
+	if d.Requests != 2 || d.PayloadBytes != 192 || d.WireBytes != 192+2*24 {
+		t.Errorf("Sub counters wrong: %+v", d)
+	}
+	if len(d.BySize) != 2 || d.BySize[128] != 1 || d.BySize[64] != 1 {
+		t.Errorf("Sub BySize = %v, want 64B:1 128B:1", d.BySize)
+	}
 }
 
 // Property: conservation — the histogram total always equals Requests and

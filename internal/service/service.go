@@ -82,20 +82,11 @@ type Config struct {
 	// a private registry (reachable via Registry, e.g. for tests).
 	Metrics *telemetry.Registry
 
-	// Fault is the injector whose tallies the service exports as
-	// emogi_faults_injected_total (injection itself is wired into the
-	// System via emogi.SystemConfig.Faults). Nil selects the System's own
-	// injector; with no injector anywhere the fault series stay zero.
-	Fault fault.Injector
 	// RetryAttempts bounds the total attempts per admitted request,
 	// including the first (default 4; 1 disables retries). Only failures
-	// matching emogi.ErrTransient are retried.
+	// matching emogi.ErrTransient are retried, after a backoff that starts
+	// at retryBackoff.
 	RetryAttempts int
-	// RetryBackoff is the delay before the first retry (default 2ms).
-	// Subsequent retries double it (capped at 64x) and add deterministic
-	// jitter derived from the request key, honoring the request context
-	// during the wait.
-	RetryBackoff time.Duration
 	// DegradeAfter is the number of consecutive transient zero-copy
 	// failures after which the request is rerouted onto the static-uvm
 	// transport policy (default 3) — a policy transition over the same
@@ -253,17 +244,11 @@ func New(sys *emogi.System, cfg Config) *Service {
 	if cfg.RetryAttempts <= 0 {
 		cfg.RetryAttempts = 4
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 2 * time.Millisecond
-	}
 	if cfg.DegradeAfter <= 0 {
 		cfg.DegradeAfter = 3
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 32
-	}
-	if cfg.Fault == nil {
-		cfg.Fault = sys.Faults()
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -523,10 +508,10 @@ func (s *Service) worker() {
 }
 
 // execute runs one admitted task under the retry ladder. Cold caches make
-// every run independent of queue order: UVM residency and staged segments
-// are device-global state the LRU cache key could not otherwise account
-// for. The trace rides the context so the collector attributes the run's
-// rounds to this request.
+// every run independent of queue order: UVM residency is device-global
+// state the LRU cache key could not otherwise account for. The trace
+// rides the context so the collector attributes the run's rounds to this
+// request.
 func (s *Service) execute(t *task) (*emogi.Result, error) {
 	var res *emogi.Result
 	degraded, err := s.retryLadder(t, t.pol, func(pol emogi.TransportPolicy) (err error) {
@@ -620,8 +605,12 @@ func executeDetail(degraded bool, err error) string {
 	}
 }
 
+// retryBackoff is the delay before a request's first retry.
+const retryBackoff = 2 * time.Millisecond
+
 // backoff sleeps before retry number attempt (>= 1), honoring the request
-// context: an exponential base delay (doubling per retry, capped at 64x)
+// context: an exponential base delay (retryBackoff, doubling per retry,
+// capped at 64x)
 // whose upper half is jittered deterministically from the request key and
 // attempt number, so identical request streams reproduce identical
 // schedules while distinct requests decorrelate.
@@ -630,7 +619,7 @@ func (s *Service) backoff(t *task, attempt int) error {
 	if shift > 6 {
 		shift = 6
 	}
-	base := s.cfg.RetryBackoff << uint(shift)
+	base := retryBackoff << uint(shift)
 	delay := base/2 + time.Duration(retryJitter(t.key, attempt)%uint64(base/2+1))
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -665,12 +654,13 @@ func retryJitter(k cacheKey, attempt int) uint64 {
 	return h.Sum64()
 }
 
-// syncFaultCounters folds the injector's tally growth into the telemetry
-// counters. Deltas are taken under faultMu, so concurrent workers export
-// each injected fault exactly once and the series totals always equal the
-// injector's own counts.
+// syncFaultCounters folds the growth of the System's fault injector's
+// tallies (emogi.SystemConfig.Faults) into the telemetry counters. Deltas
+// are taken under faultMu, so concurrent workers export each injected
+// fault exactly once and the series totals always equal the injector's own
+// counts. With no injector the fault series stay zero.
 func (s *Service) syncFaultCounters() {
-	inj := s.cfg.Fault
+	inj := s.sys.Faults()
 	if inj == nil {
 		return
 	}

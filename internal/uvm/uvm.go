@@ -16,24 +16,21 @@ import (
 	"repro/internal/memsys"
 )
 
+// FaultCPUSeconds is the effective serialized CPU cost per migrated page:
+// fault interception, batch handling, and page-table updates in the
+// single-threaded UVM driver, amortized over typical batch sizes.
+// Calibrated so a streaming UVM read reaches the paper's measured ~9.1 GB/s
+// on PCIe 3.0 (Figure 4): 4096B / 9.1 GB/s - 4096B / 12.3 GB/s ≈ 117ns.
+// Pages migrate at memsys.PageBytes granularity.
+const FaultCPUSeconds = 117e-9
+
 // Config holds the UVM driver model parameters.
 type Config struct {
-	// PageBytes is the migration granularity (4KB system pages).
-	PageBytes int
-
 	// CapacityPages is the number of pages of GPU memory available to hold
 	// migrated UVM pages (GPU memory left over after explicit allocations).
 	// Zero means no page can be cached (every touch bounces: the page is
 	// migrated, used, and immediately reclaimed). Negative means unlimited.
 	CapacityPages int
-
-	// FaultCPUSeconds is the effective serialized CPU cost per migrated
-	// page: fault interception, batch handling, and page-table updates in
-	// the single-threaded UVM driver, amortized over typical batch sizes.
-	// Calibrated so a streaming UVM read reaches the paper's measured
-	// ~9.1 GB/s on PCIe 3.0 (Figure 4): 4096B / 9.1 GB/s - 4096B / 12.3
-	// GB/s ≈ 117ns.
-	FaultCPUSeconds float64
 
 	// BlockPages is the driver's migration granule in pages: on a fault,
 	// the whole aligned block containing the faulting page is migrated
@@ -58,16 +55,14 @@ type Config struct {
 }
 
 // ConfigWithPaging returns the calibrated driver model — 4KB pages migrated
-// in 64KB prefetch blocks — with the given paging mode: gpuDriven false is
+// in 128KB (32-page) prefetch blocks — with the given paging mode: gpuDriven false is
 // the classic serialized CPU fault handler, true the GPUVM-style GPU-driven
 // path.
 func ConfigWithPaging(capacityPages int, gpuDriven bool) Config {
 	return Config{
-		PageBytes:       memsys.PageBytes,
-		CapacityPages:   capacityPages,
-		FaultCPUSeconds: 117e-9,
-		BlockPages:      32,
-		GPUDriven:       gpuDriven,
+		CapacityPages: capacityPages,
+		BlockPages:    32,
+		GPUDriven:     gpuDriven,
 	}
 }
 
@@ -124,9 +119,6 @@ const nilNode = -1
 
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
-	if cfg.PageBytes <= 0 {
-		cfg.PageBytes = memsys.PageBytes
-	}
 	return &Manager{cfg: cfg, lru: make(map[pageKey]int32),
 		free: nilNode, head: nilNode, tail: nilNode}
 }
@@ -158,7 +150,7 @@ func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated int) 
 	if size <= 0 {
 		return 0
 	}
-	pb := int64(m.cfg.PageBytes)
+	pb := int64(memsys.PageBytes)
 	first := off / pb
 	last := (off + int64(size) - 1) / pb
 	for p := first; p <= last; p++ {
@@ -188,32 +180,6 @@ func (m *Manager) Rehit(buf *memsys.Buffer, p int64, n int) bool {
 	return true
 }
 
-// PrefetchRange migrates every non-resident page overlapping the byte range
-// [off, off+size) of buf — cudaMemPrefetchAsync semantics: exactly the asked
-// range, no prefetch-block amplification. It returns the number of pages
-// migrated. The transport-policy layer uses it when a partition transitions
-// onto the UVM substrate eagerly.
-func (m *Manager) PrefetchRange(buf *memsys.Buffer, off, size int64) (migrated int) {
-	if size <= 0 {
-		return 0
-	}
-	pb := int64(m.cfg.PageBytes)
-	first := off / pb
-	last := (off + size - 1) / pb
-	if limit := int64(buf.Pages()); last >= limit {
-		last = limit - 1
-	}
-	for p := first; p <= last; p++ {
-		key := pageKey{buf, int(p)}
-		if _, ok := m.lru[key]; ok {
-			continue
-		}
-		m.fault(key, buf)
-		migrated++
-	}
-	return migrated
-}
-
 // EvictRange drops residency for every page overlapping the byte range
 // [off, off+size) of buf, returning the number evicted. Pages are
 // read-mostly duplicates, so eviction moves no data. The transport-policy
@@ -223,7 +189,7 @@ func (m *Manager) EvictRange(buf *memsys.Buffer, off, size int64) (evicted int) 
 	if size <= 0 {
 		return 0
 	}
-	pb := int64(m.cfg.PageBytes)
+	pb := int64(memsys.PageBytes)
 	first := off / pb
 	last := (off + size - 1) / pb
 	for p := first; p <= last; p++ {
@@ -270,7 +236,7 @@ func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
 		m.stats.Faults++
 		m.stats.Migrations++
 		m.stats.Evictions++
-		m.stats.HostBytesMoved += uint64(m.cfg.PageBytes)
+		m.stats.HostBytesMoved += uint64(memsys.PageBytes)
 		return
 	}
 	if m.cfg.CapacityPages > 0 {
@@ -292,7 +258,7 @@ func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
 	buf.SetPageResident(key.page, true)
 	m.stats.Faults++
 	m.stats.Migrations++
-	m.stats.HostBytesMoved += uint64(m.cfg.PageBytes)
+	m.stats.HostBytesMoved += uint64(memsys.PageBytes)
 }
 
 // evictLRU drops the least recently used page. Read-mostly pages are
@@ -335,12 +301,12 @@ func (m *Manager) Reset() {
 // MigrationWireBytes returns the interconnect payload bytes for n migrated
 // pages.
 func (m *Manager) MigrationWireBytes(n int) int64 {
-	return int64(n) * int64(m.cfg.PageBytes)
+	return int64(n) * memsys.PageBytes
 }
 
 // FaultCPUTime returns the serialized CPU handler time for n migrated pages.
 func (m *Manager) FaultCPUTime(n int) time.Duration {
-	return time.Duration(float64(n) * m.cfg.FaultCPUSeconds * float64(time.Second))
+	return time.Duration(float64(n) * FaultCPUSeconds * float64(time.Second))
 }
 
 // --- intrusive LRU list plumbing (slab indices) ---

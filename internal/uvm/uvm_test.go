@@ -74,7 +74,7 @@ func TestTouchZeroSize(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	b := newTestBuffer(t, 4)
-	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	m := NewManager(Config{CapacityPages: 2})
 	touchPage := func(p int) int { return m.Touch(b, int64(p*memsys.PageBytes), 8) }
 
 	touchPage(0)
@@ -102,7 +102,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // page's recency once; on a non-resident page Rehit changes nothing.
 func TestRehitMatchesRepeatedTouch(t *testing.T) {
 	b := newTestBuffer(t, 4)
-	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	m := NewManager(Config{CapacityPages: 2})
 	touchPage := func(p int) int { return m.Touch(b, int64(p*memsys.PageBytes), 8) }
 
 	touchPage(0)
@@ -161,7 +161,7 @@ func TestThrashing(t *testing.T) {
 	// Working set of 8 pages with capacity 2: round-robin touches must
 	// migrate every time (the UVM thrash the paper describes in §2.2).
 	b := newTestBuffer(t, 8)
-	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	m := NewManager(Config{CapacityPages: 2})
 	for round := 0; round < 3; round++ {
 		for p := 0; p < 8; p++ {
 			if got := m.Touch(b, int64(p*memsys.PageBytes), 8); got != 1 {
@@ -180,7 +180,7 @@ func TestThrashing(t *testing.T) {
 
 func TestZeroCapacityBounces(t *testing.T) {
 	b := newTestBuffer(t, 2)
-	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 0})
+	m := NewManager(Config{CapacityPages: 0})
 	for i := 0; i < 5; i++ {
 		if got := m.Touch(b, 0, 8); got != 1 {
 			t.Fatalf("touch %d migrated %d, want 1 (bounce)", i, got)
@@ -258,14 +258,13 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestDefaultConfigCalibration(t *testing.T) {
-	cfg := ConfigWithPaging(100, false)
-	if cfg.PageBytes != 4096 {
-		t.Errorf("PageBytes = %d, want 4096", cfg.PageBytes)
+	if cfg := ConfigWithPaging(100, false); cfg.BlockPages != 32 || cfg.GPUDriven {
+		t.Errorf("ConfigWithPaging(100, false) = %+v, want 32-page blocks, CPU paging", cfg)
 	}
 	// Calibration anchor: streaming UVM bandwidth should land near the
 	// paper's ~9.1 GB/s on PCIe 3.0. 4096B / (4096B/12.3GB/s + cpu).
-	wire := 4096.0 / 12.34e9
-	bw := 4096.0 / (wire + cfg.FaultCPUSeconds)
+	wire := float64(memsys.PageBytes) / 12.34e9
+	bw := float64(memsys.PageBytes) / (wire + FaultCPUSeconds)
 	if bw < 8.6e9 || bw > 9.6e9 {
 		t.Errorf("streaming UVM bandwidth = %.2f GB/s, want ~9.1", bw/1e9)
 	}
@@ -278,7 +277,7 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 	pages := 32
 	b := newTestBuffer(t, pages)
 	for _, capacity := range []int{1, 2, 7, 16, 100} {
-		m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: capacity})
+		m := NewManager(Config{CapacityPages: capacity})
 		for i := 0; i < 2000; i++ {
 			off := rng.Int63n(int64(pages*memsys.PageBytes) - 64)
 			m.Touch(b, off, 1+rng.Intn(64))
@@ -344,8 +343,7 @@ func TestBlockPrefetchClippedAtBufferEnd(t *testing.T) {
 
 func TestBlockPrefetchSkipsResident(t *testing.T) {
 	b := newTestBuffer(t, 32)
-	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: -1,
-		FaultCPUSeconds: 117e-9, BlockPages: 4})
+	m := NewManager(Config{CapacityPages: -1, BlockPages: 4})
 	m.Touch(b, 1*memsys.PageBytes, 8) // pages 0-3 via block fault
 	if got := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("resident block re-migrated %d pages", got)
@@ -355,8 +353,7 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	}
 	// Under capacity pressure the block fill itself evicts: a 4-page block
 	// into a 3-page budget leaves 3 resident.
-	m2 := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 3,
-		FaultCPUSeconds: 117e-9, BlockPages: 4})
+	m2 := NewManager(Config{CapacityPages: 3, BlockPages: 4})
 	if got := m2.Touch(b, 0, 8); got != 4 {
 		t.Fatalf("block fault migrated %d, want 4", got)
 	}
