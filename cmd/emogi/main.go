@@ -233,7 +233,7 @@ func runMultiGPU(g *emogi.Graph, algo string, cfg emogi.SystemConfig, n, sources
 // printKernelLog dumps the simulated device's per-launch statistics — the
 // level-by-level view of how traffic and time evolve over a traversal.
 func printKernelLog(dev *gpu.Device) {
-	fmt.Println("\nper-kernel breakdown (all runs):")
+	fmt.Println("\nper-kernel breakdown (last run):")
 	fmt.Printf("%-28s %8s %10s %12s %12s %10s\n",
 		"kernel", "warps", "PCIe reqs", "payload KB", "migrations", "elapsed")
 	for _, ks := range dev.Kernels() {

@@ -33,7 +33,7 @@ func TestSubwayBFSCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
-	if err := core.ValidateBFS(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("Subway BFS wrong: %v", err)
 	}
 	if res.Iterations == 0 || res.Elapsed <= 0 {
@@ -50,7 +50,7 @@ func TestSubwaySSSPCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
-	if err := core.ValidateSSSP(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("Subway SSSP wrong: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestSubwayCCCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
-	if err := core.ValidateCC(g, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("Subway CC wrong: %v", err)
 	}
 	if res.Source != -1 {
@@ -109,7 +109,7 @@ func TestSubwayPartitionsOversizedFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partitioned Subway failed: %v", err)
 	}
-	if err := core.ValidateCC(g, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("partitioned Subway CC wrong: %v", err)
 	}
 	// Sanity: an unconstrained run must not be slower than the chunked one.
@@ -167,7 +167,7 @@ func TestSubwayConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero config: %v", err)
 	}
-	if err := core.ValidateBFS(g, res.Source, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Error(err)
 	}
 }
@@ -203,7 +203,7 @@ func TestHALOBFSCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
-	if err := core.ValidateBFS(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("HALO BFS wrong after remap: %v", err)
 	}
 	if res.Source != src {
@@ -220,7 +220,7 @@ func TestHALOSSSPCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
-	if err := core.ValidateSSSP(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("HALO SSSP wrong: %v", err)
 	}
 }
@@ -233,7 +233,7 @@ func TestHALOCCCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
-	if err := core.ValidateCC(g, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("HALO CC wrong after label canonicalization: %v", err)
 	}
 }
@@ -288,7 +288,7 @@ func TestHALOReducesMigrationsUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPlain, err := core.BFS(context.Background(), devPlain, dgPlain, src, core.Merged)
+	resPlain, err := core.RunAlgo(context.Background(), devPlain, dgPlain, "bfs", src, core.Merged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,8 +112,10 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app string, src int, cfg SubwayCon
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
 
+	dev.BeginRun(gpu.RunLabels{App: strings.ToUpper(app), Variant: "subway",
+		Transport: "staged", Graph: g.Name})
+	defer dev.EndRun()
 	clock0 := dev.Clock()
-	mark := dev.Mark()
 	arena := dev.Arena()
 
 	// Persistent device state: the value array lives in GPU memory for the
@@ -215,7 +217,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app string, src int, cfg SubwayCon
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    dev.Clock() - clock0,
-		Stats:      dev.Since(mark),
+		Stats:      dev.RunStats(),
 	}, nil
 }
 

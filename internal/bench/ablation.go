@@ -8,6 +8,7 @@ import (
 	emogi "repro"
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/memsys"
 	"repro/internal/pcie"
 	"repro/internal/uvm"
@@ -21,6 +22,17 @@ import (
 // newV100 builds a fresh scaled V100 device.
 func newV100(cfg Config) *gpu.Device {
 	return cfg.Device(emogi.V100PCIe3(cfg.Scale).GPU)
+}
+
+// loadAndRun uploads g onto dev under the static policy for transport
+// (8-byte edges, automatic placement) and runs the named algorithm once
+// from src.
+func loadAndRun(dev *gpu.Device, g *graph.CSR, transport core.Transport, algo string, src int, v core.Variant) (*core.Result, error) {
+	dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunAlgo(context.Background(), dev, dg, algo, src, v)
 }
 
 // AblationUVMBlock sweeps the UVM driver's prefetch block size and reports
@@ -45,7 +57,7 @@ func AblationUVMBlock(ds *Datasets) (*Table, error) {
 		ucfg := dev.UVM().Config()
 		ucfg.BlockPages = block
 		*dev.UVM() = *uvm.NewManager(ucfg)
-		res, err := core.BFS(context.Background(), dev, dg, src, core.Merged)
+		res, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.Merged)
 		if err != nil {
 			return nil, err
 		}
@@ -101,21 +113,11 @@ func AblationBalance(ds *Datasets) (*Table, error) {
 		Title:  "Ablation: workload balancing (BFS on GK)",
 		Header: []string{"kernel", "critical-path reqs", "payload MB", "time ms"},
 	}
-	dev := newV100(cfg)
-	dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
+	plain, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs", src, core.MergedAligned)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
-	if err != nil {
-		return nil, err
-	}
-	devB := newV100(cfg)
-	dgB, err := core.Upload(devB, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
-	if err != nil {
-		return nil, err
-	}
-	bal, err := core.BFSBalanced(context.Background(), devB, dgB, src, 1024)
+	bal, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs-balanced", src, core.MergedAligned)
 	if err != nil {
 		return nil, err
 	}
@@ -145,12 +147,7 @@ func AblationCompression(ds *Datasets) (*Table, error) {
 		g := ds.Get(sym)
 		src := ds.Sources(sym)[0]
 
-		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
-		if err != nil {
-			return nil, err
-		}
-		plain, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
+		plain, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -220,12 +217,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 	g := ds.Get("GK")
 	src := ds.Sources("GK")[0]
 
-	devU := newV100(cfg)
-	dgU, err := core.Upload(devU, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
-	if err != nil {
-		return nil, err
-	}
-	uvmRes, err := core.BFS(context.Background(), devU, dgU, src, core.Merged)
+	uvmRes, err := loadAndRun(newV100(cfg), g, core.UVM, "bfs", src, core.Merged)
 	if err != nil {
 		return nil, err
 	}
@@ -237,12 +229,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 	for _, sens := range []float64{0.01, 0.25, 0.40, 1.0} {
 		gcfg := emogi.V100PCIe3(cfg.Scale).GPU
 		gcfg.ThrashSensitivity = sens
-		dev := cfg.Device(gcfg)
-		dg, err := core.Upload(dev, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.BFS(context.Background(), dev, dg, src, core.Naive)
+		res, err := loadAndRun(cfg.Device(gcfg), g, core.ZeroCopy, "bfs", src, core.Naive)
 		if err != nil {
 			return nil, err
 		}
@@ -314,22 +301,11 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		gcfg := emogi.V100PCIe3(cfg.Scale).GPU
 		hbm, dram := gcfg.Tiers.HBM(), gcfg.Tiers.DRAM()
 		gcfg.Tiers = memsys.TwoTier(hbm.CapacityBytes, dram.CapacityBytes, hbm.Mem, dram.Mem, link)
-		devE := cfg.Device(gcfg)
-		dgE, err := core.Upload(devE, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
+		em, err := loadAndRun(cfg.Device(gcfg), g, core.ZeroCopy, "bfs", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
-		em, err := core.BFS(context.Background(), devE, dgE, src, core.MergedAligned)
-		if err != nil {
-			return nil, err
-		}
-
-		devU := cfg.Device(gcfg)
-		dgU, err := core.Upload(devU, g, core.StaticPolicyFor(core.UVM), 8, core.PlaceAuto)
-		if err != nil {
-			return nil, err
-		}
-		uvmRes, err := core.BFS(context.Background(), devU, dgU, src, core.Merged)
+		uvmRes, err := loadAndRun(cfg.Device(gcfg), g, core.UVM, "bfs", src, core.Merged)
 		if err != nil {
 			return nil, err
 		}
@@ -358,21 +334,11 @@ func AblationEdgeCentric(ds *Datasets) (*Table, error) {
 		g := ds.Get(sym)
 		src := ds.Sources(sym)[0]
 
-		devV := newV100(cfg)
-		dg, err := core.Upload(devV, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
+		vert, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
-		vert, err := core.BFS(context.Background(), devV, dg, src, core.MergedAligned)
-		if err != nil {
-			return nil, err
-		}
-		devE := newV100(cfg)
-		ec, err := core.UploadEdgeCentric(devE, g)
-		if err != nil {
-			return nil, err
-		}
-		edge, err := core.BFSEdgeCentric(context.Background(), devE, ec, src)
+		edge, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs-edgecentric", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -402,21 +368,11 @@ func AblationDirectionOpt(ds *Datasets) (*Table, error) {
 		g := ds.Get(sym)
 		src := ds.Sources(sym)[0]
 
-		devP := newV100(cfg)
-		dgP, err := core.Upload(devP, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
+		push, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
-		push, err := core.BFS(context.Background(), devP, dgP, src, core.MergedAligned)
-		if err != nil {
-			return nil, err
-		}
-		devD := newV100(cfg)
-		dgD, err := core.Upload(devD, g, core.StaticPolicyFor(core.ZeroCopy), 8, core.PlaceAuto)
-		if err != nil {
-			return nil, err
-		}
-		do, err := core.BFSDirectionOptimized(context.Background(), devD, dgD, src, core.DefaultPushPullConfig())
+		do, err := loadAndRun(newV100(cfg), g, core.ZeroCopy, "bfs-pushpull", src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}

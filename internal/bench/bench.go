@@ -71,34 +71,41 @@ func NewDatasets(cfg Config) *Datasets {
 func (d *Datasets) Config() Config { return d.cfg }
 
 // System builds a simulated machine for the given platform configuration,
-// applying the harness worker count.
+// applying the harness settings to its device (see gpuConfig) and
+// attaching the harness telemetry.
 func (c Config) System(sc emogi.SystemConfig) *emogi.System {
-	if c.Workers != 0 {
-		sc.GPU.Workers = c.Workers
-	}
+	sc.GPU = c.gpuConfig(sc.GPU)
+	sc.GPUDrivenPaging = c.GPUDrivenPaging // NewSystem copies it into GPU
 	sc.Telemetry = c.Telemetry
-	if c.TierStack != "" {
-		var err error
-		if sc, err = emogi.ApplyTierStack(sc, c.TierStack); err != nil {
-			panic(err) // names are validated at flag-parse time
-		}
-	}
-	sc.GPUDrivenPaging = c.GPUDrivenPaging
 	return emogi.NewSystem(sc)
 }
 
-// Device builds a raw simulated device from a gpu configuration, applying
-// the harness worker count and telemetry — for runners (toy figures,
-// ablations, prior-work baselines) that bypass the System wrapper.
+// Device builds a raw simulated device from a gpu configuration, with the
+// same harness settings as System — for runners (toy figures, ablations,
+// prior-work baselines) that bypass the System wrapper.
 func (c Config) Device(gc gpu.Config) *gpu.Device {
-	if c.Workers != 0 {
-		gc.Workers = c.Workers
-	}
-	dev := gpu.NewDevice(gc)
+	dev := gpu.NewDevice(c.gpuConfig(gc))
 	if c.Telemetry != nil {
 		dev.SetTelemetry(c.Telemetry)
 	}
 	return dev
+}
+
+// gpuConfig applies the harness worker count, tier stack and paging model
+// to a device configuration: the one place both System and Device get them.
+func (c Config) gpuConfig(gc gpu.Config) gpu.Config {
+	if c.Workers != 0 {
+		gc.Workers = c.Workers
+	}
+	if c.TierStack != "" {
+		sc, err := emogi.ApplyTierStack(emogi.SystemConfig{GPU: gc}, c.TierStack)
+		if err != nil {
+			panic(err) // names are validated at flag-parse time
+		}
+		gc = sc.GPU
+	}
+	gc.GPUDrivenPaging = c.GPUDrivenPaging
+	return gc
 }
 
 // Get returns the named dataset, building it on first use.

@@ -170,6 +170,28 @@ func TestSystemConfigUnknown(t *testing.T) {
 	}
 }
 
+// TestConfigDeviceAppliesTiersAndPaging: -tiers and -paging reach the raw
+// devices the ablations, toy figures and baselines build, exactly as they
+// reach every System.
+func TestConfigDeviceAppliesTiersAndPaging(t *testing.T) {
+	cfg := Config{Scale: 0.02, TierStack: "3tier-cxl", GPUDrivenPaging: true}
+	base := emogi.V100PCIe3(cfg.Scale)
+	dev := cfg.Device(base.GPU)
+	if dev.Tiers().CXL() == nil {
+		t.Errorf("Device ignored TierStack %q: no CXL tier", cfg.TierStack)
+	}
+	if !dev.Config().GPUDrivenPaging || !dev.UVM().Config().GPUDriven {
+		t.Errorf("Device ignored GPUDrivenPaging")
+	}
+	sys := cfg.System(base).Device()
+	if sys.Tiers().CXL() == nil || !sys.UVM().Config().GPUDriven {
+		t.Errorf("System ignored the tier stack or paging model")
+	}
+	if def := (Config{Scale: 0.02}).Device(base.GPU); def.Tiers().CXL() != nil || def.UVM().Config().GPUDriven {
+		t.Errorf("default Config changed the platform's two-tier CPU-paging device")
+	}
+}
+
 func TestRenderCSV(t *testing.T) {
 	tb := &Table{Header: []string{"a", "b"}}
 	tb.AddRow("1", "x,y")

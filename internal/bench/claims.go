@@ -6,7 +6,6 @@ import (
 
 	emogi "repro"
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // Claims runs the paper's headline *shape* claims as executable checks:
@@ -69,16 +68,11 @@ func Claims(ds *Datasets) (*Table, error) {
 	g := ds.Get("GK")
 	src := ds.Sources("GK")[0]
 	run := func(transport core.Transport, v core.Variant) *core.Result {
-		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
-		if err != nil {
-			panic(err)
+		res, err := loadAndRun(newV100(cfg), g, transport, "bfs", src, v)
+		if err == nil {
+			err = res.Validate(g)
 		}
-		res, err := core.BFS(context.Background(), dev, dg, src, v)
 		if err != nil {
-			panic(err)
-		}
-		if err := core.ValidateBFS(g, src, res.Values); err != nil {
 			panic(err)
 		}
 		return res
@@ -108,20 +102,15 @@ func Claims(ds *Datasets) (*Table, error) {
 	// --- SK: the graph that almost fits ---
 	gs := ds.Get("SK")
 	srcS := ds.Sources("SK")[0]
-	runOn := func(g2 *graph.CSR, src2 int, transport core.Transport, v core.Variant) *core.Result {
-		dev := newV100(cfg)
-		dg, err := core.Upload(dev, g2, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
-		if err != nil {
-			panic(err)
-		}
-		res, err := core.BFS(context.Background(), dev, dg, src2, v)
+	runSK := func(transport core.Transport, v core.Variant) *core.Result {
+		res, err := loadAndRun(newV100(cfg), gs, transport, "bfs", srcS, v)
 		if err != nil {
 			panic(err)
 		}
 		return res
 	}
-	skUVM := runOn(gs, srcS, core.UVM, core.Merged)
-	skEmogi := runOn(gs, srcS, core.ZeroCopy, core.MergedAligned)
+	skUVM := runSK(core.UVM, core.Merged)
+	skEmogi := runSK(core.ZeroCopy, core.MergedAligned)
 	skSpeed := float64(skUVM.Elapsed) / float64(skEmogi.Elapsed)
 	check("SK (fits in memory) is the weakest win", "1.21x",
 		skSpeed, "%.2fx", skSpeed > 0.9 && skSpeed < 1.8)

@@ -95,24 +95,18 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		srcA, srcB := depthSources(t, g)
-		for _, tc := range []struct {
-			name string
-			algo func(src int) (*Result, error)
-		}{
-			{"bfs", func(src int) (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
-			{"sssp", func(src int) (*Result, error) { return SSSP(context.Background(), dev, dg, src, MergedAligned) }},
-		} {
+		for _, algo := range []string{"bfs", "sssp"} {
 			iters := map[int]int{}
 			run := func(src int) {
 				dev.ResetStats()
-				res, err := tc.algo(src)
+				res, err := RunAlgo(context.Background(), dev, dg, algo, src, MergedAligned)
 				if err != nil {
-					t.Fatalf("reorder=%d/%s: %v", rw, tc.name, err)
+					t.Fatalf("reorder=%d/%s: %v", rw, algo, err)
 				}
 				iters[src] = res.Iterations
 			}
 			a, b := measureRunAllocs(run, srcA, srcB)
-			assertEqualAllocs(t, tc.name, a, b, iters[srcA], iters[srcB])
+			assertEqualAllocs(t, algo, a, b, iters[srcA], iters[srcB])
 		}
 	}
 }
@@ -174,19 +168,13 @@ func TestSteadyStateRoundAllocsUVM(t *testing.T) {
 			t.Fatalf("UVM capacity %d pages does not oversubscribe the %d-page edge list", c, pages)
 		}
 		srcA, srcB := depthSources(t, g)
-		for _, tc := range []struct {
-			name string
-			algo func(src int) (*Result, error)
-		}{
-			{"bfs", func(src int) (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
-			{"sssp", func(src int) (*Result, error) { return SSSP(context.Background(), dev, dg, src, MergedAligned) }},
-		} {
-			name := fmt.Sprintf("static-uvm/gpu-paging=%v/%s", gpuDriven, tc.name)
+		for _, algo := range []string{"bfs", "sssp"} {
+			name := fmt.Sprintf("static-uvm/gpu-paging=%v/%s", gpuDriven, algo)
 			iters := map[int]int{}
 			run := func(src int) {
 				dev.ResetStats()
 				dev.ResetUVMResidency()
-				res, err := tc.algo(src)
+				res, err := RunAlgo(context.Background(), dev, dg, algo, src, MergedAligned)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -445,20 +445,19 @@ func (br *batchRun) launchActive() {
 	br.dev.Launch(br.roundName, br.n, br.activeBody)
 }
 
-// runBatchProgram executes a Program for K sources in one batched engine
-// run. Out-of-range sources fail their lane (the same error a
-// single-source run returns) without aborting the batch; whole-batch
-// cancellation and injected transient faults abort everything through
-// runRounds, leaving the arena exactly as a completed run would.
+// runBatchProgram executes a Program for K ≥ 1 sources (RunBatchAlgo
+// rejects an empty batch) in one batched engine run: the registry's batch
+// mode for every sourced standard application. Out-of-range sources fail
+// their lane (the same error a single-source run returns) without
+// aborting the batch; whole-batch cancellation and injected transient
+// faults abort everything through runRounds, leaving the arena exactly as
+// a completed run would.
 func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog *Program, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := dg.NumVertices()
 	k := len(specs)
-	if k == 0 {
-		return nil, fmt.Errorf("core: %s batch requires at least one source", prog.App)
-	}
 	lwords := (k + 63) / 64
 
 	// Same policy resolution as runProgram: static policies matching the
@@ -470,7 +469,6 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		Transport: pol.Name(), Graph: dg.Graph.Name})
 	defer dev.EndRun()
 	clockStart := dev.Clock()
-	mark := dev.Mark()
 
 	br := &batchRun{
 		dev: dev, dg: dg, prog: prog,
@@ -571,7 +569,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// Download the lane-major array once and slice it per lane.
 	dev.CopyToHost(int64(n) * int64(k) * 4)
 	elapsed := dev.Clock() - clockStart
-	stats := dev.Since(mark)
+	stats := dev.RunStats()
 	out := &BatchOutcome{
 		Results:        make([]BatchItem, k),
 		BatchedRun:     true,
@@ -604,32 +602,11 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	return out, nil
 }
 
-// BFSBatch advances K BFS sources in one batched engine run.
-func BFSBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
-	return runBatchProgram(ctx, dev, dg, bfsProgram(), specs, variant)
-}
-
-// SSSPBatch advances K SSSP sources in one batched engine run.
-func SSSPBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
-	if dg.Weights == nil {
-		return nil, fmt.Errorf("core: SSSP requires a weighted graph")
-	}
-	return runBatchProgram(ctx, dev, dg, ssspProgram(), specs, variant)
-}
-
-// SSWPBatch advances K SSWP sources in one batched engine run.
-func SSWPBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
-	if dg.Weights == nil {
-		return nil, fmt.Errorf("core: SSWP requires a weighted graph")
-	}
-	return runBatchProgram(ctx, dev, dg, sswpProgram(), specs, variant)
-}
-
-// RunBatchAlgo dispatches a batched traversal by registry name.
-// Algorithms without a batched mode run each lane sequentially (one
-// engine run per lane, honoring per-lane contexts) and report
-// BatchedRun=false — callers get identical per-lane semantics either
-// way, only the sharing differs.
+// RunBatchAlgo dispatches a batched traversal by registry name, after the
+// same precondition check as RunAlgo. Algorithms without a batched mode
+// run each lane sequentially (one engine run per lane, honoring per-lane
+// contexts) and report BatchedRun=false — callers get identical per-lane
+// semantics either way, only the sharing differs.
 func RunBatchAlgo(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, name string, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -637,6 +614,9 @@ func RunBatchAlgo(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, name st
 	a := LookupAlgorithm(name)
 	if a == nil {
 		return nil, &UnknownAlgorithmError{Name: name}
+	}
+	if err := a.check(dg); err != nil {
+		return nil, err
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: %s batch requires at least one source", a.Name)

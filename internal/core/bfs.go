@@ -1,18 +1,16 @@
 package core
 
-import (
-	"context"
-	"fmt"
+import "repro/internal/graph"
 
-	"repro/internal/gpu"
-	"repro/internal/graph"
-)
-
-// bfsProgram declares breadth-first search over the frontier engine: a
-// min-lattice carry monoid over an implicit match-by-level frontier, with
-// active vertices pushing level+1 to their neighbors. Seed is set even
-// though match programs don't use it so the multi-GPU topology (which
-// always keeps an explicit frontier) can run the same descriptor.
+// bfsProgram declares level-synchronous breadth-first search over the
+// frontier engine: a min-lattice carry monoid over an implicit
+// match-by-level frontier, with active vertices pushing level+1 to their
+// neighbors — one kernel launch per level (§4.2: "the total number of
+// kernels launched... is equal to the distance between the source vertex
+// to the furthest reachable vertex"). Values are BFS levels
+// (graph.InfDist for unreachable vertices). Seed is set even though match
+// programs don't use it so the multi-GPU topology (which always keeps an
+// explicit frontier) can run the same descriptor.
 func bfsProgram() *Program {
 	return &Program{
 		App:      "BFS",
@@ -26,38 +24,6 @@ func bfsProgram() *Program {
 		},
 		Seed: func(v, src int) bool { return v == src },
 		Push: func(sv uint32) uint32 { return sv + 1 },
+		Ref:  graph.RefBFS,
 	}
-}
-
-// BFS runs level-synchronous breadth-first search from src on the device
-// graph, one kernel launch per level (§4.2: "the total number of kernels
-// launched... is equal to the distance between the source vertex to the
-// furthest reachable vertex"). It returns each vertex's BFS level
-// (graph.InfDist for unreachable vertices).
-func BFS(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	prog := bfsProgram()
-	name := "bfs/" + variant.String()
-	return runProgram(ctx, dev, dg.NumVertices(), prog, src, &engineConfig{
-		variant:   variant,
-		graphName: dg.Graph.Name,
-		valueName: "bfs.labels",
-		roundName: name,
-		dg:        dg,
-		kernel:    stdMatchKernel(dg, variant, name, prog),
-	})
-}
-
-// ValidateBFS checks a BFS result against the CPU reference.
-func ValidateBFS(g *graph.CSR, src int, values []uint32) error {
-	want := graph.RefBFS(g, src)
-	if len(values) != len(want) {
-		return fmt.Errorf("core: BFS result length %d, want %d", len(values), len(want))
-	}
-	for v := range want {
-		if values[v] != want[v] {
-			return fmt.Errorf("core: BFS level[%d] = %d, want %d (src %d)",
-				v, values[v], want[v], src)
-		}
-	}
-	return nil
 }

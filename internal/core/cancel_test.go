@@ -64,10 +64,9 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 	}
 	defer dg.Free(dev)
 
-	kernels := len(dev.Kernels())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := BFS(ctx, dev, dg, src, MergedAligned)
+	res, err := RunAlgo(ctx, dev, dg, "bfs", src, MergedAligned)
 	if res != nil {
 		t.Fatalf("canceled run returned a result: %+v", res)
 	}
@@ -84,8 +83,8 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("errors.Is(err, context.Canceled) = false")
 	}
-	if got := len(dev.Kernels()); got != kernels {
-		t.Errorf("pre-canceled run launched %d kernel(s)", got-kernels)
+	if got := len(dev.Kernels()); got != 0 {
+		t.Errorf("pre-canceled run launched %d kernel(s)", got)
 	}
 }
 
@@ -108,7 +107,7 @@ func TestCancelMidRunThenRerun(t *testing.T) {
 	defer cancel()
 	sink := &cancelAfterRound{after: 1, cancel: cancel}
 	dev.SetTelemetry(sink)
-	res, err := BFS(ctx, dev, dg, src, MergedAligned)
+	res, err := RunAlgo(ctx, dev, dg, "bfs", src, MergedAligned)
 	dev.SetTelemetry(nil)
 	if res != nil {
 		t.Fatalf("canceled run returned a result")
@@ -143,7 +142,7 @@ func TestCancelMidRunThenRerun(t *testing.T) {
 	// Rerun on the same device graph: the canceled attempt must be
 	// invisible. The pinned golden record is the arbiter — every counter
 	// of the rerun has to match results/golden-engine.json exactly.
-	res2, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res2, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatalf("rerun after cancel: %v", err)
 	}
@@ -190,7 +189,7 @@ func TestCancelDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = SSSP(ctx, dev, dg, src, MergedAligned)
+	_, err = RunAlgo(ctx, dev, dg, "sssp", src, MergedAligned)
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("errors.Is(err, ErrCanceled) = false for deadline, got %v", err)
 	}

@@ -258,7 +258,6 @@ func BFSCompressed(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGr
 		variant:      MergedAligned,
 		graphName:    g.Name,
 		labelVariant: "compressed",
-		valueName:    "bfs.labels",
 		roundName:    "bfs/compressed",
 		kernel:       kernel,
 	})

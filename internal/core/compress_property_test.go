@@ -67,7 +67,7 @@ func TestCompressedBFSAgreesWithPlainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plain, err := BFS(context.Background(), devA, dgA, src, MergedAligned)
+		plain, err := RunAlgo(context.Background(), devA, dgA, "bfs", src, MergedAligned)
 		if err != nil {
 			return false
 		}

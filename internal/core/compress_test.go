@@ -96,7 +96,7 @@ func TestBFSCompressedCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestCompressedMovesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := BFS(context.Background(), devPlain, dgPlain, src, MergedAligned)
+	plain, err := RunAlgo(context.Background(), devPlain, dgPlain, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCompressedMovesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, src, comp.Values); err != nil {
+	if err := comp.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if float64(comp.Stats.PCIePayloadBytes) > 0.6*float64(plain.Stats.PCIePayloadBytes) {

@@ -145,11 +145,11 @@ func TestBFSCorrectnessMatrix(t *testing.T) {
 			}
 			src := graph.PickSources(g, 1, 11)[0]
 			for _, variant := range allVariants {
-				res, err := BFS(context.Background(), dev, dg, src, variant)
+				res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
-				if err := ValidateBFS(g, src, res.Values); err != nil {
+				if err := res.Validate(g); err != nil {
 					t.Errorf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
 				if res.Iterations <= 0 || res.Elapsed <= 0 {
@@ -171,11 +171,11 @@ func TestSSSPCorrectnessMatrix(t *testing.T) {
 		}
 		src := graph.PickSources(g, 1, 13)[0]
 		for _, variant := range allVariants {
-			res, err := SSSP(context.Background(), dev, dg, src, variant)
+			res, err := RunAlgo(context.Background(), dev, dg, "sssp", src, variant)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", g.Name, variant, err)
 			}
-			if err := ValidateSSSP(g, src, res.Values); err != nil {
+			if err := res.Validate(g); err != nil {
 				t.Errorf("%s/%s: %v", g.Name, variant, err)
 			}
 		}
@@ -190,11 +190,11 @@ func TestSSSPUVMTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 13)[0]
-	res, err := SSSP(context.Background(), dev, dg, src, Merged)
+	res, err := RunAlgo(context.Background(), dev, dg, "sssp", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateSSSP(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Error(err)
 	}
 	if res.Stats.UVMMigrations == 0 {
@@ -216,11 +216,11 @@ func TestCCCorrectnessMatrix(t *testing.T) {
 				t.Fatalf("%s: upload: %v", g.Name, err)
 			}
 			for _, variant := range allVariants {
-				res, err := CC(context.Background(), dev, dg, variant)
+				res, err := RunAlgo(context.Background(), dev, dg, "cc", 0, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
-				if err := ValidateCC(g, res.Values); err != nil {
+				if err := res.Validate(g); err != nil {
 					t.Errorf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
 				if res.Source != -1 {
@@ -228,42 +228,6 @@ func TestCCCorrectnessMatrix(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCCRejectsDirected(t *testing.T) {
-	g := graph.Web("sk", 300, 10, 1)
-	dev := testDevice()
-	dg, err := uploadStatic(dev, g, ZeroCopy, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CC(context.Background(), dev, dg, Merged); err == nil {
-		t.Errorf("CC on a directed graph should error")
-	}
-}
-
-func TestBFSBadSource(t *testing.T) {
-	g := testGraphs()[0]
-	dev := testDevice()
-	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := BFS(context.Background(), dev, dg, -1, Merged); err == nil {
-		t.Errorf("negative source accepted")
-	}
-	if _, err := BFS(context.Background(), dev, dg, g.NumVertices(), Merged); err == nil {
-		t.Errorf("out-of-range source accepted")
-	}
-	if _, err := SSSP(context.Background(), dev, dg, -1, Merged); err == nil {
-		t.Errorf("SSSP negative source accepted")
-	}
-}
-
-func TestSSSPRequiresWeights(t *testing.T) {
-	g := graph.Urand("u", 200, 8, 1) // no weights
-	dev := testDevice()
-	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := SSSP(context.Background(), dev, dg, 0, Merged); err == nil {
-		t.Errorf("unweighted SSSP accepted")
 	}
 }
 
@@ -275,11 +239,11 @@ func TestBFSWith4ByteEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 11)[0]
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Error(err)
 	}
 }
@@ -292,7 +256,7 @@ func TestBFSIterationsEqualDepth(t *testing.T) {
 	dev := testDevice()
 	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +284,7 @@ func TestRequestCountOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BFS(context.Background(), dev, dg, src, variant)
+			res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, variant)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +314,7 @@ func TestAlignedRequestSizeShift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := BFS(context.Background(), dev, dg, src, variant); err != nil {
+			if _, err := RunAlgo(context.Background(), dev, dg, "bfs", src, variant); err != nil {
 				t.Fatal(err)
 			}
 			frac[variant] = dev.Monitor().SizeFraction(128)
@@ -375,7 +339,7 @@ func TestZeroCopyAmplificationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 23)[0]
-		res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+		res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(context.Background(), dev, dg, src, v)
+			res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, v)
 			if err != nil {
 				return nil, err
 			}
@@ -50,7 +50,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(context.Background(), dev, dg, src, Merged)
+			res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +62,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+			res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +98,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSBalanced(context.Background(), dev, dg, src, 64)
+			res, err := bfsBalanced(context.Background(), dev, dg, src, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -118,11 +118,11 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 		}},
 		{"edge-centric", func(g *graph.CSR, src int) ([]uint32, error) {
 			dev := testDevice()
-			ec, err := UploadEdgeCentric(dev, g)
+			ec, err := uploadEdgeCentric(dev, g)
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSEdgeCentric(context.Background(), dev, ec, src)
+			res, err := bfsEdgeCentric(context.Background(), dev, ec, src)
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +134,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+			res, err := bfsDirectionOptimized(context.Background(), dev, dg, src, defaultPullThreshold)
 			if err != nil {
 				return nil, err
 			}

@@ -23,18 +23,18 @@ import (
 // so on high-diameter or narrow-frontier traversals it moves far more
 // bytes. The edge-centric ablation quantifies this.
 
-// EdgeCentricGraph is a graph in COO layout: parallel src/dst arrays in
+// edgeCentricGraph is a graph in COO layout: parallel src/dst arrays in
 // pinned host memory.
-type EdgeCentricGraph struct {
+type edgeCentricGraph struct {
 	Graph *graph.CSR
 	Src   *memsys.Buffer // 4-byte source IDs
 	Dst   *memsys.Buffer // 4-byte destination IDs
 }
 
-// UploadEdgeCentric lays g out in COO form for edge-centric streaming.
+// uploadEdgeCentric lays g out in COO form for edge-centric streaming.
 // Both arrays are 4-byte (edge-centric engines favor compact layouts since
 // they re-stream everything each round).
-func UploadEdgeCentric(dev *gpu.Device, g *graph.CSR) (*EdgeCentricGraph, error) {
+func uploadEdgeCentric(dev *gpu.Device, g *graph.CSR) (*edgeCentricGraph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: refusing to upload invalid graph: %w", err)
 	}
@@ -57,22 +57,22 @@ func UploadEdgeCentric(dev *gpu.Device, g *graph.CSR) (*EdgeCentricGraph, error)
 		}
 	}
 	dev.ResetUVMResidency()
-	return &EdgeCentricGraph{Graph: g, Src: src, Dst: dst}, nil
+	return &edgeCentricGraph{Graph: g, Src: src, Dst: dst}, nil
 }
 
 // Free releases the COO buffers.
-func (ec *EdgeCentricGraph) Free(dev *gpu.Device) {
+func (ec *edgeCentricGraph) Free(dev *gpu.Device) {
 	arena := dev.Arena()
 	arena.Free(ec.Src)
 	arena.Free(ec.Dst)
 	dev.ResetUVMResidency()
 }
 
-// BFSEdgeCentric runs breadth-first search by streaming the full COO edge
+// bfsEdgeCentric runs breadth-first search by streaming the full COO edge
 // array every level: each warp reads 32 consecutive (src, dst) pairs —
 // perfectly coalesced 128-byte requests with no alignment logic — and
 // relaxes the edges whose source carries the current level.
-func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, src int) (*Result, error) {
+func bfsEdgeCentric(ctx context.Context, dev *gpu.Device, ec *edgeCentricGraph, src int) (*Result, error) {
 	g := ec.Graph
 	n := g.NumVertices()
 	e := g.NumEdges()
@@ -124,7 +124,6 @@ func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, 
 		variant:      MergedAligned,
 		graphName:    g.Name,
 		labelVariant: "edgecentric",
-		valueName:    "ecbfs.labels",
 		roundName:    "bfs/edgecentric",
 		kernel:       kernel,
 	})

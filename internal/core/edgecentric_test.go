@@ -10,7 +10,7 @@ import (
 func TestEdgeCentricCOOLayout(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	ec, err := UploadEdgeCentric(dev, g)
+	ec, err := uploadEdgeCentric(dev, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +31,16 @@ func TestEdgeCentricCOOLayout(t *testing.T) {
 func TestBFSEdgeCentricCorrectness(t *testing.T) {
 	for _, g := range testGraphs() {
 		dev := testDevice()
-		ec, err := UploadEdgeCentric(dev, g)
+		ec, err := uploadEdgeCentric(dev, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 59)[0]
-		res, err := BFSEdgeCentric(context.Background(), dev, ec, src)
+		res, err := bfsEdgeCentric(context.Background(), dev, ec, src)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 		ec.Free(dev)
@@ -50,8 +50,8 @@ func TestBFSEdgeCentricCorrectness(t *testing.T) {
 func TestBFSEdgeCentricBadSource(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
-	ec, _ := UploadEdgeCentric(dev, g)
-	if _, err := BFSEdgeCentric(context.Background(), dev, ec, -1); err == nil {
+	ec, _ := uploadEdgeCentric(dev, g)
+	if _, err := bfsEdgeCentric(context.Background(), dev, ec, -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -59,7 +59,7 @@ func TestBFSEdgeCentricBadSource(t *testing.T) {
 func TestUploadEdgeCentricInvalid(t *testing.T) {
 	bad := &graph.CSR{Offsets: []int64{0, 5}, Dst: []uint32{0}}
 	dev := testDevice()
-	if _, err := UploadEdgeCentric(dev, bad); err == nil {
+	if _, err := uploadEdgeCentric(dev, bad); err == nil {
 		t.Errorf("invalid graph accepted")
 	}
 }
@@ -73,11 +73,11 @@ func TestEdgeCentricStreamsEverything(t *testing.T) {
 	src := graph.PickSources(g, 1, 61)[0]
 
 	devE := testDevice()
-	ec, err := UploadEdgeCentric(devE, g)
+	ec, err := uploadEdgeCentric(devE, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeRes, err := BFSEdgeCentric(context.Background(), devE, ec, src)
+	edgeRes, err := bfsEdgeCentric(context.Background(), devE, ec, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEdgeCentricStreamsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertRes, err := BFS(context.Background(), devV, dg, src, MergedAligned)
+	vertRes, err := RunAlgo(context.Background(), devV, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/memsys"
 )
 
@@ -14,8 +16,8 @@ import (
 // balanced-scheduling studies, the compressed, edge-centric,
 // direction-optimized, hybrid CPU-GPU, and multi-GPU extensions, and any
 // new application — is a declarative Program descriptor plus an
-// engineConfig (kernel choice, buffer names, device topology) over the one
-// round loop implemented here. The loop, the runState lifecycle, the
+// engineConfig (kernel choice, telemetry labels, device topology) over the
+// one round loop implemented here. The loop, the runState lifecycle, the
 // BeginRun/EmitRound/EndRun telemetry hooks, and the Result assembly exist
 // exactly once; apps differ only in their descriptors.
 //
@@ -150,9 +152,9 @@ const (
 )
 
 // Program declares one traversal algorithm over the frontier engine. A new
-// application is a Program, a registry entry, and a Result.Validate case
-// for its CPU reference — no engine changes (see sswp.go for the worked
-// example, and DESIGN.md §10 for the schema).
+// application is a Program, carrying its CPU reference, plus one
+// registration line (programAlgorithm in registry.go) — no engine changes
+// (see sswp.go for the worked example, and DESIGN.md §10 for the schema).
 type Program struct {
 	// App is the Result.App / telemetry label ("BFS", "SSSP", ...).
 	App string
@@ -161,8 +163,8 @@ type Program struct {
 	Frontier FrontierPolicy
 	// Relax is the monoid the edge visitor applies.
 	Relax Monoid
-	// Weighted gathers edge weights for the visitor (requires a weighted
-	// graph).
+	// Weighted gathers edge weights for the visitor; the registry entry
+	// derives NeedsWeights from it.
 	Weighted bool
 	// NoSource marks source-free programs (CC): src is ignored and the
 	// Result reports Source -1.
@@ -175,6 +177,9 @@ type Program struct {
 	// neighbors (before Combine folds in the edge weight). Nil means
 	// identity; BFS pushes sv+1.
 	Push func(sv uint32) uint32
+	// Ref computes the CPU reference output that Result.Validate compares
+	// a run's Values against (src is -1 for NoSource programs).
+	Ref func(g *graph.CSR, src int) []uint32
 }
 
 // push applies the Program's push map (identity when nil).
@@ -207,16 +212,13 @@ type engineRound struct {
 type kernelFunc func(r *engineRound)
 
 // engineConfig selects how a Program runs on one device: the kernel, the
-// reported variant, buffer names (kept stable so arena layout —
-// and therefore request alignment — matches the historical
-// implementations), and telemetry labels.
+// reported variant, and telemetry labels. The per-run buffers are named
+// after the Program's App; a name labels a buffer only (arena addresses
+// depend on allocation order and size alone).
 type engineConfig struct {
 	variant      Variant
 	graphName    string
 	labelVariant string // RunLabels.Variant (defaults to variant.String())
-	valueName    string
-	snapName     string
-	activeNames  [2]string
 	roundName    string
 	kernel       kernelFunc
 	// dg, when set, enables the transport-policy layer for this run: the
@@ -229,6 +231,26 @@ type engineConfig struct {
 	// touch the device). Direction-optimized BFS uses it to recount the
 	// frontier that steers its push/pull heuristic.
 	postRound func(r *engineRound, more bool)
+}
+
+// runStandard runs a Program through the standard kernel discipline its
+// frontier selects, in the requested variant: the registry's run mode for
+// every standard application.
+func runStandard(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog *Program, src int, variant Variant) (*Result, error) {
+	name := strings.ToLower(prog.App) + "/" + variant.String()
+	var kernel kernelFunc
+	if prog.Frontier == FrontierActive {
+		kernel = stdActiveKernel(dg, variant, name, prog)
+	} else {
+		kernel = stdMatchKernel(dg, variant, name, prog)
+	}
+	return runProgram(ctx, dev, dg.NumVertices(), prog, src, &engineConfig{
+		variant:   variant,
+		graphName: dg.Graph.Name,
+		roundName: name,
+		dg:        dg,
+		kernel:    kernel,
+	})
 }
 
 // stdMatchKernel launches the standard match-by-level kernel discipline.
@@ -416,22 +438,23 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	if err != nil {
 		return nil, err
 	}
-	values, err := rs.alloc(cfg.valueName, int64(n)*4)
+	label := strings.ToLower(prog.App)
+	values, err := rs.alloc(label+".values", int64(n)*4)
 	if err != nil {
 		rs.abort()
 		return nil, err
 	}
 	e := &singleRun{rs: rs, prog: prog, cfg: cfg, n: n, values: values}
 	if prog.Frontier == FrontierActive {
-		if e.snap, err = rs.alloc(cfg.snapName, int64(n)*4); err != nil {
+		if e.snap, err = rs.alloc(label+".snap", int64(n)*4); err != nil {
 			rs.abort()
 			return nil, err
 		}
-		if e.cur, err = rs.alloc(cfg.activeNames[0], int64(n)*4); err != nil {
+		if e.cur, err = rs.alloc(label+".active0", int64(n)*4); err != nil {
 			rs.abort()
 			return nil, err
 		}
-		if e.next, err = rs.alloc(cfg.activeNames[1], int64(n)*4); err != nil {
+		if e.next, err = rs.alloc(label+".active1", int64(n)*4); err != nil {
 			rs.abort()
 			return nil, err
 		}
@@ -580,7 +603,6 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
 		Transport: h.dg.Policy.Name(), Graph: g.Name})
 	defer dev.EndRun()
-	mark := dev.Mark()
 
 	labels, err := dev.Arena().Alloc("hbfs.labels", memsys.SpaceGPU, int64(n)*4)
 	if err != nil {
@@ -630,7 +652,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
-		Stats:      dev.Since(mark),
+		Stats:      dev.RunStats(),
 		Policy:     h.dg.Policy.Name(),
 	}, nil
 }
@@ -776,9 +798,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 			}
 		}
 	}
-	marks := make([]gpu.StatsMark, nd)
 	for i, dev := range ms.devs {
-		marks[i] = dev.Mark()
 		var err error
 		mr.values[i], err = dev.Arena().Alloc("mgpu.values", memsys.SpaceGPU, int64(n)*4)
 		if err != nil {
@@ -829,8 +849,8 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	out := make([]uint32, n)
 	copy(out, mr.prev)
 	var stats gpu.KernelStats
-	for i, dev := range ms.devs {
-		d := dev.Since(marks[i])
+	for _, dev := range ms.devs {
+		d := dev.RunStats()
 		stats.Add(&d)
 	}
 	freeAll()
@@ -851,13 +871,12 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 }
 
 // runState carries the engine's shared plumbing: the convergence flag,
-// the device clock/stat baseline, and per-run GPU buffers to free.
+// the device clock baseline, and per-run GPU buffers to free.
 type runState struct {
 	dev        *gpu.Device
 	flag       *memsys.Buffer
 	freeList   []*memsys.Buffer
 	clockStart time.Duration
-	mark       gpu.StatsMark
 }
 
 func newRunState(dev *gpu.Device) (*runState, error) {
@@ -869,7 +888,6 @@ func newRunState(dev *gpu.Device) (*runState, error) {
 		dev:        dev,
 		flag:       flag,
 		clockStart: dev.Clock(),
-		mark:       dev.Mark(),
 	}
 	rs.freeList = append(rs.freeList, flag)
 	return rs, nil
@@ -927,6 +945,6 @@ func (rs *runState) finish(app string, variant Variant, src int, values *memsys.
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    rs.dev.Clock() - rs.clockStart,
-		Stats:      rs.dev.Since(rs.mark),
+		Stats:      rs.dev.RunStats(),
 	}
 }

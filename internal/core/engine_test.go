@@ -93,15 +93,15 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 		app, variant string
 		run          func() (*Result, error)
 	}{
-		{"BFS", "Merged+Aligned", func() (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
-		{"SSSP", "Merged", func() (*Result, error) { return SSSP(context.Background(), dev, dg, src, Merged) }},
-		{"CC", "Merged+Aligned", func() (*Result, error) { return CC(context.Background(), dev, dg, MergedAligned) }},
-		{"SSWP", "Merged+Aligned", func() (*Result, error) { return SSWP(context.Background(), dev, dg, src, MergedAligned) }},
+		{"BFS", "Merged+Aligned", func() (*Result, error) { return RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned) }},
+		{"SSSP", "Merged", func() (*Result, error) { return RunAlgo(context.Background(), dev, dg, "sssp", src, Merged) }},
+		{"CC", "Merged+Aligned", func() (*Result, error) { return RunAlgo(context.Background(), dev, dg, "cc", 0, MergedAligned) }},
+		{"SSWP", "Merged+Aligned", func() (*Result, error) { return RunAlgo(context.Background(), dev, dg, "sswp", src, MergedAligned) }},
 		{"BFS", "worker8", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 8, true) }},
 		{"BFS", "worker16-unaligned", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 16, false) }},
-		{"BFS", "balanced", func() (*Result, error) { return BFSBalanced(context.Background(), dev, dg, src, 1024) }},
+		{"BFS", "balanced", func() (*Result, error) { return bfsBalanced(context.Background(), dev, dg, src, 1024) }},
 		{"BFS", "pushpull", func() (*Result, error) {
-			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+			return bfsDirectionOptimized(context.Background(), dev, dg, src, defaultPullThreshold)
 		}},
 	}
 	for _, s := range singles {
@@ -124,11 +124,11 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	if !rec.hasRun("BFS", "compressed") {
 		t.Errorf("no labeled run recorded for BFS/compressed")
 	}
-	ec, err := UploadEdgeCentric(dev, g)
+	ec, err := uploadEdgeCentric(dev, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BFSEdgeCentric(context.Background(), dev, ec, src); err != nil {
+	if _, err := bfsEdgeCentric(context.Background(), dev, ec, src); err != nil {
 		t.Fatal(err)
 	}
 	ec.Free(dev)
@@ -315,7 +315,7 @@ func TestAlgorithmRegistry(t *testing.T) {
 				t.Errorf("duplicate registration should panic")
 			}
 		}()
-		RegisterAlgorithm(&Algorithm{Name: "bfs", Run: BFS})
+		RegisterAlgorithm(&Algorithm{Name: "bfs", Run: LookupAlgorithm("bfs").Run})
 	}()
 	func() {
 		defer func() {
@@ -340,11 +340,11 @@ func TestSSWPCorrectnessMatrix(t *testing.T) {
 			}
 			src := graph.PickSources(g, 1, 29)[0]
 			for _, variant := range allVariants {
-				res, err := SSWP(context.Background(), dev, dg, src, variant)
+				res, err := RunAlgo(context.Background(), dev, dg, "sswp", src, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
-				if err := ValidateSSWP(g, src, res.Values); err != nil {
+				if err := res.Validate(g); err != nil {
 					t.Errorf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
 				if res.Values[src] != graph.InfDist {
@@ -353,21 +353,6 @@ func TestSSWPCorrectnessMatrix(t *testing.T) {
 			}
 			dg.Free(dev)
 		}
-	}
-}
-
-func TestSSWPErrors(t *testing.T) {
-	g := graph.Urand("u", 200, 8, 1) // no weights
-	dev := testDevice()
-	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := SSWP(context.Background(), dev, dg, 0, Merged); err == nil {
-		t.Errorf("unweighted SSWP accepted")
-	}
-	if _, err := SSWP(context.Background(), dev, dg, -1, Merged); err == nil {
-		t.Errorf("negative source accepted")
-	}
-	if _, err := SSWP(context.Background(), dev, dg, g.NumVertices(), Merged); err == nil {
-		t.Errorf("out-of-range source accepted")
 	}
 }
 

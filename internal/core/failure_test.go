@@ -37,11 +37,11 @@ func TestBFSZeroUVMCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(context.Background(), dev, dg, src, Merged)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("thrash-heavy UVM BFS wrong: %v", err)
 	}
 	if res.Stats.UVMMigrations == 0 {
@@ -59,7 +59,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(context.Background(), dev, dg, 0, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", 0, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Errorf("iterations = %d, want 1 (empty first frontier)", res.Iterations)
 	}
-	cc, err := CC(context.Background(), dev, dg, Merged)
+	cc, err := RunAlgo(context.Background(), dev, dg, "cc", 0, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestIsolatedSourceBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(context.Background(), dev, dg, 5, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", 5, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, 5, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Error(err)
 	}
 	if graph.ReachableCount(res.Values) != 1 {
@@ -114,21 +114,21 @@ func TestAllVariantsOnPathGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BFS(context.Background(), dev, dg, 0, variant)
+		res, err := RunAlgo(context.Background(), dev, dg, "bfs", 0, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateBFS(g, 0, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
 		if res.Iterations != n {
 			t.Errorf("%s: iterations = %d, want %d", variant, res.Iterations, n)
 		}
-		sp, err := SSSP(context.Background(), dev, dg, 0, variant)
+		sp, err := RunAlgo(context.Background(), dev, dg, "sssp", 0, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateSSSP(g, 0, sp.Values); err != nil {
+		if err := sp.Validate(g); err != nil {
 			t.Fatalf("%s SSSP: %v", variant, err)
 		}
 	}
@@ -160,11 +160,11 @@ func TestMisalignedEdgeBufferBase(t *testing.T) {
 	dg := &DeviceGraph{Graph: g, Policy: StaticPolicyFor(ZeroCopy), EdgeBytes: 8,
 		Offsets: offsets, Edges: edges}
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, src, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Errorf("misaligned base broke correctness: %v", err)
 	}
 	// And the monitor should see split requests (the base offset defeats
@@ -184,11 +184,11 @@ func TestSelfLoopHeavyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(context.Background(), dev, dg, 0, Merged)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", 0, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, 0, res.Values); err != nil {
+	if err := res.Validate(g); err != nil {
 		t.Error(err)
 	}
 }
@@ -205,12 +205,12 @@ func TestRepeatedRunsIndependent(t *testing.T) {
 	}
 	src := graph.PickSources(g, 1, 1)[0]
 	dev.ResetUVMResidency()
-	a, err := BFS(context.Background(), dev, dg, src, Merged)
+	a, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev.ResetUVMResidency()
-	b, err := BFS(context.Background(), dev, dg, src, Merged)
+	b, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRepeatedRunsIndependent(t *testing.T) {
 		}
 	}
 	// A warm second run must migrate less.
-	c, err := BFS(context.Background(), dev, dg, src, Merged)
+	c, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}

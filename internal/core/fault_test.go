@@ -48,7 +48,7 @@ func TestTransientFaultSurfacesTyped(t *testing.T) {
 	defer dg.Free(dev)
 	usedBefore := dev.Arena().GPUUsed()
 
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if res != nil {
 		t.Fatalf("faulted run returned a result: %+v", res)
 	}
@@ -104,7 +104,7 @@ func TestRetryUntilCleanMatchesGolden(t *testing.T) {
 	var res *Result
 	faulted := 0
 	for attempt := 0; attempt < 100; attempt++ {
-		r, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+		r, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		if err == nil {
 			res = r
 			break
@@ -153,7 +153,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer dg.Free(dev)
-		_, err = BFS(context.Background(), dev, dg, src, MergedAligned)
+		_, err = RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		return inj.Counts().ReadFaults, err
 	}
 	serialFaults, serialErr := run(1)
@@ -194,7 +194,7 @@ func TestAllocFaultSurfacesTransient(t *testing.T) {
 	dev.Arena().SetAllocFaultHook(func(_ memsys.Space, size int64) error {
 		return inj.AllocFault(size)
 	})
-	_, err = BFS(context.Background(), dev, dg, src, MergedAligned)
+	_, err = RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	dev.Arena().SetAllocFaultHook(nil)
 	if !errors.Is(err, fault.ErrTransient) {
 		t.Fatalf("alloc-faulted run: err = %v, want match for fault.ErrTransient", err)
@@ -205,7 +205,7 @@ func TestAllocFaultSurfacesTransient(t *testing.T) {
 
 	// With the hook lifted the same device graph traverses to the golden
 	// numbers.
-	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatalf("rerun after alloc fault: %v", err)
 	}

@@ -87,7 +87,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return BFS(context.Background(), dev, dg, src, MergedAligned)
+			return RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		})
 		run("sssp", func() (*Result, error) {
 			dev := testDevice()
@@ -95,7 +95,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return SSSP(context.Background(), dev, dg, src, MergedAligned)
+			return RunAlgo(context.Background(), dev, dg, "sssp", src, MergedAligned)
 		})
 		if !g.Directed {
 			run("cc", func() (*Result, error) {
@@ -104,7 +104,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 				if err != nil {
 					return nil, err
 				}
-				return CC(context.Background(), dev, dg, MergedAligned)
+				return RunAlgo(context.Background(), dev, dg, "cc", 0, MergedAligned)
 			})
 		}
 		if sym != "GK" {
@@ -118,7 +118,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return BFS(context.Background(), dev, dg, src, Merged)
+			return RunAlgo(context.Background(), dev, dg, "bfs", src, Merged)
 		})
 		run("bfs-naive", func() (*Result, error) {
 			dev := testDevice()
@@ -126,7 +126,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return BFS(context.Background(), dev, dg, src, Naive)
+			return RunAlgo(context.Background(), dev, dg, "bfs", src, Naive)
 		})
 		run("bfs-worker8", func() (*Result, error) {
 			dev := testDevice()
@@ -150,7 +150,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return BFSBalanced(context.Background(), dev, dg, src, 64)
+			return bfsBalanced(context.Background(), dev, dg, src, 64)
 		})
 		run("bfs-compressed", func() (*Result, error) {
 			dev := testDevice()
@@ -162,11 +162,11 @@ func goldenRuns(t *testing.T) []goldenRecord {
 		})
 		run("bfs-edgecentric", func() (*Result, error) {
 			dev := testDevice()
-			ec, err := UploadEdgeCentric(dev, g)
+			ec, err := uploadEdgeCentric(dev, g)
 			if err != nil {
 				return nil, err
 			}
-			return BFSEdgeCentric(context.Background(), dev, ec, src)
+			return bfsEdgeCentric(context.Background(), dev, ec, src)
 		})
 		run("bfs-pushpull", func() (*Result, error) {
 			dev := testDevice()
@@ -174,7 +174,7 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			if err != nil {
 				return nil, err
 			}
-			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+			return bfsDirectionOptimized(context.Background(), dev, dg, src, defaultPullThreshold)
 		})
 		run("bfs-hybrid0.3", func() (*Result, error) {
 			h, err := NewHybridSystem(testDevice(), g, 8, 0.3)

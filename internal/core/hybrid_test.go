@@ -22,7 +22,7 @@ func TestHybridBFSCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
-			if err := ValidateBFS(g, src, res.Values); err != nil {
+			if err := res.Validate(g); err != nil {
 				t.Errorf("%s share=%v: %v", g.Name, share, err)
 			}
 			h.Free()
@@ -130,7 +130,7 @@ func TestHybridOffloadHelpsUpToAPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Fatal(err)
 		}
 		times[share] = res.Elapsed

@@ -32,7 +32,7 @@ func TestMultiGPUBFSCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s x%d: %v", g.Name, n, err)
 			}
-			if err := ValidateBFS(g, src, res.Values); err != nil {
+			if err := res.Validate(g); err != nil {
 				t.Errorf("%s x%d: %v", g.Name, n, err)
 			}
 			ms.Free()
@@ -106,7 +106,7 @@ func TestMultiGPUScalesTraversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Fatal(err)
 		}
 		times[n] = res.Elapsed
@@ -138,7 +138,7 @@ func TestMultiGPUSingleMatchesPlainValues(t *testing.T) {
 	}
 	dev := testDevice()
 	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	plain, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+	plain, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestMultiGPUSSSPCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s x%d: %v", g.Name, n, err)
 			}
-			if err := ValidateSSSP(g, src, res.Values); err != nil {
+			if err := res.Validate(g); err != nil {
 				t.Errorf("%s x%d: %v", g.Name, n, err)
 			}
 			ms.Free()
@@ -182,7 +182,7 @@ func TestMultiGPUCCCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if err := ValidateCC(g, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 		if res.Source != -1 {

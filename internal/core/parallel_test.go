@@ -125,7 +125,7 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return BFSBalanced(context.Background(), dev, dg, src, 64)
+			return bfsBalanced(context.Background(), dev, dg, src, 64)
 		}},
 		{"compressed", func(dev *gpu.Device) (*Result, error) {
 			cdg, err := UploadCompressed(dev, g)
@@ -135,18 +135,18 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 			return BFSCompressed(context.Background(), dev, cdg, src)
 		}},
 		{"edge-centric", func(dev *gpu.Device) (*Result, error) {
-			ec, err := UploadEdgeCentric(dev, g)
+			ec, err := uploadEdgeCentric(dev, g)
 			if err != nil {
 				return nil, err
 			}
-			return BFSEdgeCentric(context.Background(), dev, ec, src)
+			return bfsEdgeCentric(context.Background(), dev, ec, src)
 		}},
 		{"direction-optimized", func(dev *gpu.Device) (*Result, error) {
 			dg, err := uploadStatic(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
-			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+			return bfsDirectionOptimized(context.Background(), dev, dg, src, defaultPullThreshold)
 		}},
 		{"hybrid-0.3", func(dev *gpu.Device) (*Result, error) {
 			h, err := NewHybridSystem(dev, g, 8, 0.3)

@@ -288,7 +288,7 @@ func TestAdaptiveFaultRetryReplaysDecisions(t *testing.T) {
 	var res *Result
 	for attempt := 0; attempt < 100; attempt++ {
 		log.rounds = log.rounds[:0]
-		r, err := BFS(context.Background(), dev, dg, src, Naive)
+		r, err := RunAlgo(context.Background(), dev, dg, "bfs", src, Naive)
 		if err == nil {
 			res = r
 			break

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -27,37 +26,23 @@ import (
 // graphs (where out-lists serve), exactly like real direction-optimized
 // implementations that run on the symmetrized graph.
 
-// PushPullConfig controls the direction heuristic.
-type PushPullConfig struct {
-	// PullThreshold switches to pull when the next frontier exceeds this
-	// fraction of the vertex set. Beamer's heuristic uses edge counts; the
-	// vertex fraction is the simple, robust variant.
-	PullThreshold float64
-}
+// defaultPullThreshold is the direction heuristic: switch to pull when
+// the next frontier exceeds this fraction of the vertex set. Beamer's
+// heuristic uses edge counts; the vertex fraction is the simple, robust
+// variant.
+const defaultPullThreshold = 0.10
 
-// DefaultPushPullConfig returns the standard heuristic.
-func DefaultPushPullConfig() PushPullConfig {
-	return PushPullConfig{PullThreshold: 0.10}
-}
-
-// BFSDirectionOptimized runs push/pull BFS from src over zero-copy memory.
-// It returns the same levels as plain BFS; only the traffic differs.
-func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, cfg PushPullConfig) (*Result, error) {
-	g := dg.Graph
-	if g.Directed {
-		return nil, fmt.Errorf("core: direction-optimized BFS requires an undirected graph")
-	}
+// bfsDirectionOptimized runs push/pull BFS from src over zero-copy memory,
+// pulling once the frontier exceeds pullThreshold of the vertex set. It
+// returns the same levels as plain BFS; only the traffic differs. The
+// graph must be undirected (the bfs-pushpull entry declares
+// NeedsUndirected).
+func bfsDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, pullThreshold float64) (*Result, error) {
 	n := dg.NumVertices()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("core: BFS source %d out of range [0,%d)", src, n)
-	}
-	if cfg.PullThreshold <= 0 {
-		cfg = DefaultPushPullConfig()
-	}
 	prog := bfsProgram()
 	frontier := 1
 	kernel := func(r *engineRound) {
-		pull := float64(frontier) > cfg.PullThreshold*float64(n)
+		pull := float64(frontier) > pullThreshold*float64(n)
 		if pull {
 			launchPullKernel(r.dev, dg, r.values, r.flag, r.level)
 		} else {
@@ -81,9 +66,8 @@ func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph
 	// ("bfs/pull" vs "bfs/push" entries).
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
-		graphName:    g.Name,
+		graphName:    dg.Graph.Name,
 		labelVariant: "pushpull",
-		valueName:    "dobfs.labels",
 		roundName:    "bfs/pushpull",
 		dg:           dg,
 		kernel:       kernel,

@@ -19,31 +19,13 @@ func TestDirectionOptimizedCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 67)[0]
-		res, err := BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+		res, err := bfsDirectionOptimized(context.Background(), dev, dg, src, defaultPullThreshold)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
-	}
-}
-
-func TestDirectionOptimizedRejectsDirected(t *testing.T) {
-	g := graph.Web("w", 300, 8, 1)
-	dev := testDevice()
-	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, 0, DefaultPushPullConfig()); err == nil {
-		t.Errorf("directed graph accepted")
-	}
-}
-
-func TestDirectionOptimizedBadSource(t *testing.T) {
-	g := testGraphs()[1]
-	dev := testDevice()
-	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, -1, DefaultPushPullConfig()); err == nil {
-		t.Errorf("bad source accepted")
 	}
 }
 
@@ -56,11 +38,11 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 
 	devD := testDevice()
 	dgD, _ := uploadStatic(devD, g, ZeroCopy, 8)
-	do, err := BFSDirectionOptimized(context.Background(), devD, dgD, src, DefaultPushPullConfig())
+	do, err := bfsDirectionOptimized(context.Background(), devD, dgD, src, defaultPullThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, src, do.Values); err != nil {
+	if err := do.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	pulls := 0
@@ -75,7 +57,7 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 
 	devP := testDevice()
 	dgP, _ := uploadStatic(devP, g, ZeroCopy, 8)
-	push, err := BFS(context.Background(), devP, dgP, src, MergedAligned)
+	push, err := RunAlgo(context.Background(), devP, dgP, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +75,13 @@ func TestDirectionOptimizedAllPushMatchesPlain(t *testing.T) {
 
 	devA := testDevice()
 	dgA, _ := uploadStatic(devA, g, ZeroCopy, 8)
-	a, err := BFSDirectionOptimized(context.Background(), devA, dgA, src, PushPullConfig{PullThreshold: 2.0})
+	a, err := bfsDirectionOptimized(context.Background(), devA, dgA, src, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devB := testDevice()
 	dgB, _ := uploadStatic(devB, g, ZeroCopy, 8)
-	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
+	b, err := RunAlgo(context.Background(), devB, dgB, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 // the paper's applications and the specialty configurations — registered
 // under a stable name so callers (RunAlgo, the public emogi API, the
 // emogi and emogi-bench commands, the traversal service) dispatch by name
-// instead of hard-coded switches. Registering an Algorithm is the second
-// half of adding an app to the frontier engine (the first is its Program
-// descriptor; see sswp.go for the worked example).
+// instead of hard-coded switches. A standard application is a Program
+// descriptor plus one registration line (see sswp.go for the worked
+// example); its entry's metadata, batched mode and validation all come
+// from the descriptor.
 
 // Algorithm is one registered traversal entry point.
 type Algorithm struct {
@@ -25,8 +26,10 @@ type Algorithm struct {
 	// Description is the one-line -algo listing text.
 	Description string
 	// NeedsWeights marks algorithms that require a weighted graph.
+	// RunAlgo and RunBatchAlgo reject an unweighted graph before dispatch.
 	NeedsWeights bool
 	// NeedsUndirected marks algorithms that require an undirected graph.
+	// RunAlgo and RunBatchAlgo reject a directed graph before dispatch.
 	NeedsUndirected bool
 	// NoSource marks source-free algorithms (src is ignored).
 	NoSource bool
@@ -42,6 +45,44 @@ type Algorithm struct {
 	// run sharing each edge scan across the lanes (see batch.go). Nil
 	// algorithms batch through RunBatchAlgo's sequential fallback.
 	Batch func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error)
+
+	// prog is the Program a standard entry runs (nil for the specialty
+	// kernels); Result.Validate reads its CPU reference.
+	prog *Program
+}
+
+// programAlgorithm builds the registry entry of a standard Program: the
+// standard kernels pick the frontier discipline, the descriptor supplies
+// NeedsWeights and NoSource, and every sourced program batches.
+func programAlgorithm(prog *Program, description string) *Algorithm {
+	a := &Algorithm{
+		Name:         strings.ToLower(prog.App),
+		Description:  description,
+		NeedsWeights: prog.Weighted,
+		NoSource:     prog.NoSource,
+		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
+			return runStandard(ctx, dev, dg, prog, src, variant)
+		},
+		prog: prog,
+	}
+	if !prog.NoSource {
+		a.Batch = func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
+			return runBatchProgram(ctx, dev, dg, prog, specs, variant)
+		}
+	}
+	return a
+}
+
+// check enforces the entry's graph preconditions — the one place they are
+// checked. Source ranges are checked by the engine (per lane in a batch).
+func (a *Algorithm) check(dg *DeviceGraph) error {
+	if a.NeedsWeights && dg.Weights == nil {
+		return fmt.Errorf("core: %s requires a weighted graph (got %s)", a.Name, dg.Graph.Name)
+	}
+	if a.NeedsUndirected && dg.Graph.Directed {
+		return fmt.Errorf("core: %s requires an undirected graph (got %s)", a.Name, dg.Graph.Name)
+	}
+	return nil
 }
 
 // registry holds the built-in algorithms. It is populated once at init
@@ -101,45 +142,27 @@ func (e *UnknownAlgorithmError) Error() string {
 }
 
 // RunAlgo dispatches a traversal by registry name. An unknown name returns
-// an *UnknownAlgorithmError listing the valid names.
+// an *UnknownAlgorithmError listing the valid names; a graph that misses
+// the entry's NeedsWeights or NeedsUndirected precondition is rejected
+// before anything runs.
 func RunAlgo(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, name string, src int, variant Variant) (*Result, error) {
 	a := LookupAlgorithm(name)
 	if a == nil {
 		return nil, &UnknownAlgorithmError{Name: name}
 	}
+	if err := a.check(dg); err != nil {
+		return nil, err
+	}
 	return a.Run(ctx, dev, dg, src, variant)
 }
 
 func init() {
-	RegisterAlgorithm(&Algorithm{
-		Name:        "bfs",
-		Description: "breadth-first search (match-by-level frontier)",
-		Run:         BFS,
-		Batch:       BFSBatch,
-	})
-	RegisterAlgorithm(&Algorithm{
-		Name:         "sssp",
-		Description:  "single-source shortest path (atomic-min + add)",
-		NeedsWeights: true,
-		Run:          SSSP,
-		Batch:        SSSPBatch,
-	})
-	RegisterAlgorithm(&Algorithm{
-		Name:            "cc",
-		Description:     "connected components (min-label propagation)",
-		NeedsUndirected: true,
-		NoSource:        true,
-		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, _ int, variant Variant) (*Result, error) {
-			return CC(ctx, dev, dg, variant)
-		},
-	})
-	RegisterAlgorithm(&Algorithm{
-		Name:         "sswp",
-		Description:  "single-source widest path (atomic-max + min)",
-		NeedsWeights: true,
-		Run:          SSWP,
-		Batch:        SSWPBatch,
-	})
+	RegisterAlgorithm(programAlgorithm(bfsProgram(), "breadth-first search (match-by-level frontier)"))
+	RegisterAlgorithm(programAlgorithm(ssspProgram(), "single-source shortest path (atomic-min + add)"))
+	cc := programAlgorithm(ccProgram(), "connected components (min-label propagation)")
+	cc.NeedsUndirected = true // the paper excludes the directed SK and UK5 from CC
+	RegisterAlgorithm(cc)
+	RegisterAlgorithm(programAlgorithm(sswpProgram(), "single-source widest path (atomic-max + min)"))
 	for _, lanes := range []int{4, 8, 16} {
 		lanes := lanes
 		RegisterAlgorithm(&Algorithm{
@@ -156,7 +179,7 @@ func init() {
 		Description:  "BFS with hub-list splitting across virtual workers (§6)",
 		FixedVariant: true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			return BFSBalanced(ctx, dev, dg, src, 1024)
+			return bfsBalanced(ctx, dev, dg, src, 1024)
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
@@ -165,7 +188,7 @@ func init() {
 		NeedsUndirected: true,
 		FixedVariant:    true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			return BFSDirectionOptimized(ctx, dev, dg, src, DefaultPushPullConfig())
+			return bfsDirectionOptimized(ctx, dev, dg, src, defaultPullThreshold)
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
@@ -186,28 +209,32 @@ func init() {
 		Description:  "edge-centric BFS over a COO edge stream (§2.1 contrast)",
 		FixedVariant: true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			ec, err := UploadEdgeCentric(dev, dg.Graph)
+			ec, err := uploadEdgeCentric(dev, dg.Graph)
 			if err != nil {
 				return nil, err
 			}
 			defer ec.Free(dev)
-			return BFSEdgeCentric(ctx, dev, ec, src)
+			return bfsEdgeCentric(ctx, dev, ec, src)
 		},
 	})
 }
 
-// Validate checks a result's Values against the CPU reference for its app.
+// Validate checks a result's Values against the CPU reference of the
+// registered Program its App names.
 func (r *Result) Validate(g *graph.CSR) error {
-	switch r.App {
-	case "BFS":
-		return ValidateBFS(g, r.Source, r.Values)
-	case "SSSP":
-		return ValidateSSSP(g, r.Source, r.Values)
-	case "SSWP":
-		return ValidateSSWP(g, r.Source, r.Values)
-	case "CC":
-		return ValidateCC(g, r.Values)
-	default:
+	a := LookupAlgorithm(r.App)
+	if a == nil || a.prog == nil {
 		return fmt.Errorf("core: cannot validate unknown app %q", r.App)
 	}
+	want := a.prog.Ref(g, r.Source)
+	if len(r.Values) != len(want) {
+		return fmt.Errorf("core: %s result length %d, want %d", r.App, len(r.Values), len(want))
+	}
+	for v := range want {
+		if r.Values[v] != want[v] {
+			return fmt.Errorf("core: %s value[%d] = %d, want %d (src %d)",
+				r.App, v, r.Values[v], want[v], r.Source)
+		}
+	}
+	return nil
 }

@@ -140,13 +140,13 @@ func TestReorderWindowZeroMatchesGolden(t *testing.T) {
 		run  func(dev *gpu.Device, dg *DeviceGraph) (*Result, error)
 	}{
 		{"GK/bfs", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return BFS(context.Background(), dev, dg, src, MergedAligned)
+			return RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		}},
 		{"GK/sssp", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return SSSP(context.Background(), dev, dg, src, MergedAligned)
+			return RunAlgo(context.Background(), dev, dg, "sssp", src, MergedAligned)
 		}},
 		{"GK/bfs-naive", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return BFS(context.Background(), dev, dg, src, Naive)
+			return RunAlgo(context.Background(), dev, dg, "bfs", src, Naive)
 		}},
 	} {
 		dev := reorderDevice(0, 0)

@@ -34,14 +34,14 @@ func TestRunStatsCarryOwnMaxima(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return BFS(ctx, devs[0], dg, src, MergedAligned)
+			return RunAlgo(ctx, devs[0], dg, "bfs", src, MergedAligned)
 		}},
 		{"batch", func(devs []*gpu.Device, g *graph.CSR, src int) (*Result, error) {
 			dg, err := uploadStatic(devs[0], g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
-			out, err := BFSBatch(ctx, devs[0], dg, []BatchSpec{{Src: src}, {Src: 0}}, MergedAligned)
+			out, err := RunBatchAlgo(ctx, devs[0], dg, "bfs", []BatchSpec{{Src: src}, {Src: 0}}, MergedAligned)
 			if err != nil {
 				return nil, err
 			}

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/gpu"
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // This file adds single-source widest path (SSWP, also bottleneck
 // shortest path: the width of a path is its narrowest edge, and each
@@ -22,7 +16,9 @@ import (
 // sswpProgram declares single-source widest path: a max lattice whose
 // unreached value is 0, min-combining edge weights into atomic-max
 // relaxations. The source starts at InfDist (the empty path has no
-// bottleneck).
+// bottleneck). Like SSSP it iterates explicit-active-set relaxation rounds
+// to a fixed point with round-boundary snapshots; edge weights stream from
+// host memory. Its CPU reference is the widest-path Dijkstra.
 func sswpProgram() *Program {
 	return &Program{
 		App:      "SSWP",
@@ -36,46 +32,6 @@ func sswpProgram() *Program {
 			return 0
 		},
 		Seed: func(v, src int) bool { return v == src },
+		Ref:  graph.RefSSWP,
 	}
-}
-
-// SSWP runs single-source widest path from src. Like SSSP it iterates
-// explicit-active-set relaxation rounds to a fixed point with
-// round-boundary snapshots; edge weights stream from host memory.
-func SSWP(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	n := dg.NumVertices()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("core: SSWP source %d out of range [0,%d)", src, n)
-	}
-	if dg.Weights == nil {
-		return nil, fmt.Errorf("core: SSWP requires a weighted graph")
-	}
-	prog := sswpProgram()
-	name := "sswp/" + variant.String()
-	return runProgram(ctx, dev, n, prog, src, &engineConfig{
-		variant:     variant,
-		graphName:   dg.Graph.Name,
-		valueName:   "sswp.width",
-		snapName:    "sswp.widthread",
-		activeNames: [2]string{"sswp.active0", "sswp.active1"},
-		roundName:   name,
-		dg:          dg,
-		kernel:      stdActiveKernel(dg, variant, name, prog),
-	})
-}
-
-// ValidateSSWP checks an SSWP result against the widest-path Dijkstra
-// reference.
-func ValidateSSWP(g *graph.CSR, src int, values []uint32) error {
-	want := graph.RefSSWP(g, src)
-	if len(values) != len(want) {
-		return fmt.Errorf("core: SSWP result length %d, want %d", len(values), len(want))
-	}
-	for v := range want {
-		if values[v] != want[v] {
-			return fmt.Errorf("core: SSWP width[%d] = %d, want %d (src %d)",
-				v, values[v], want[v], src)
-		}
-	}
-	return nil
 }

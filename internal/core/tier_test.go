@@ -50,7 +50,7 @@ func TestOversubscriptionSpillsToCXL(t *testing.T) {
 			t.Errorf("%s: PlaceAuto should fill DRAM before spilling", g.Name)
 		}
 		src := graph.PickSources(g, 1, 43)[0]
-		res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
+		res, err := RunAlgo(context.Background(), dev, dg, "bfs", src, MergedAligned)
 		if err != nil {
 			t.Fatalf("%s: BFS over spilled edges: %v", g.Name, err)
 		}
@@ -81,7 +81,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, err := BFS(context.Background(), devD, dgD, src, MergedAligned)
+	resD, err := RunAlgo(context.Background(), devD, dgD, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	if got := dgC.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
 		t.Fatalf("PlaceCXL left %d bytes in DRAM", got)
 	}
-	resC, err := BFS(context.Background(), devC, dgC, src, MergedAligned)
+	resC, err := RunAlgo(context.Background(), devC, dgC, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPagingDeterminism(t *testing.T) {
 		if err != nil {
 			return outcome{err: err}
 		}
-		res, err := BFS(context.Background(), dev, dg, srcs[0], Merged)
+		res, err := RunAlgo(context.Background(), dev, dg, "bfs", srcs[0], Merged)
 		return outcome{res: res, err: err}
 	}
 	for _, gpuDriven := range []bool{false, true} {
@@ -243,7 +243,7 @@ func TestWeightedSpillHomes(t *testing.T) {
 		t.Errorf("weight list overcommitted DRAM: %d weight bytes in DRAM, %d free", wDRAM, free)
 	}
 	src := graph.PickSources(g, 1, 43)[0]
-	res, err := SSSP(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "sssp", src, MergedAligned)
 	if err != nil {
 		t.Fatalf("SSSP over split weighted layout: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestWeightsJustOverflowHomes(t *testing.T) {
 		t.Errorf("weight homes do not cover the list: DRAM %d + CXL %d != %d", wDRAM, wCXL, wBytes)
 	}
 	src := graph.PickSources(g, 1, 43)[0]
-	res, err := SSSP(context.Background(), dev, dg, src, MergedAligned)
+	res, err := RunAlgo(context.Background(), dev, dg, "sssp", src, MergedAligned)
 	if err != nil {
 		t.Fatalf("SSSP over spilled weights: %v", err)
 	}

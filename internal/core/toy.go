@@ -109,7 +109,6 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		Transport: StaticPolicyFor(transport).Name(), Graph: "1d-array"})
 	defer dev.EndRun()
 	clock0 := dev.Clock()
-	mark := dev.Mark()
 	mon0 := dev.Monitor().Snapshot()
 
 	var ks *gpu.KernelStats
@@ -158,7 +157,7 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		Transport: transport,
 		Elems:     elems,
 		Elapsed:   elapsed,
-		Stats:     dev.Since(mark),
+		Stats:     dev.RunStats(),
 	}
 	res.Snapshot = dev.Monitor().Snapshot().Sub(mon0)
 	if kernelTime > 0 {

@@ -18,7 +18,7 @@ import (
 //     adverse effect"). The ablation harness uses it to regenerate that
 //     argument as data.
 //
-//   - BFSBalanced adds the workload balancing the paper's §6 defers to
+//   - bfsBalanced adds the workload balancing the paper's §6 defers to
 //     prior schemes [38, 39]: neighbor lists longer than a threshold are
 //     split across virtual workers, which shortens the latency-bound
 //     critical path of hub vertices without changing the traffic.
@@ -78,7 +78,6 @@ func BFSWithWorker(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src in
 		variant:      variant,
 		graphName:    dg.Graph.Name,
 		labelVariant: labelVariant,
-		valueName:    "bfs.labels",
 		roundName:    name,
 		dg:           dg,
 		kernel:       kernel,
@@ -146,16 +145,13 @@ func walkGrouped(w *gpu.Warp, dg *DeviceGraph, vbase int64, groups, workerLanes 
 	}
 }
 
-// BFSBalanced runs the fully-optimized (merged + aligned) BFS with
+// bfsBalanced runs the fully-optimized (merged + aligned) BFS with
 // workload balancing: lists longer than splitLen elements are handled by
 // multiple virtual workers, bounding any single worker's latency-critical
 // path at splitLen elements. Traffic is identical to MergedAligned; only
 // the critical-path attribution changes.
-func BFSBalanced(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, splitLen int64) (*Result, error) {
+func bfsBalanced(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, splitLen int64) (*Result, error) {
 	n := dg.NumVertices()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("core: BFS source %d out of range [0,%d)", src, n)
-	}
 	if splitLen < gpu.WarpSize {
 		return nil, fmt.Errorf("core: split length %d below warp size", splitLen)
 	}
@@ -174,7 +170,6 @@ func BFSBalanced(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int,
 		variant:      MergedAligned,
 		graphName:    dg.Graph.Name,
 		labelVariant: "balanced",
-		valueName:    "bfs.labels",
 		roundName:    "bfs/balanced",
 		dg:           dg,
 		kernel:       kernel,

@@ -21,7 +21,7 @@ func TestBFSWithWorkerCorrectness(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s worker=%d aligned=%v: %v", g.Name, worker, aligned, err)
 				}
-				if err := ValidateBFS(g, src, res.Values); err != nil {
+				if err := res.Validate(g); err != nil {
 					t.Errorf("%s worker=%d aligned=%v: %v", g.Name, worker, aligned, err)
 				}
 			}
@@ -81,7 +81,7 @@ func TestWorker32MatchesMergedAligned(t *testing.T) {
 	}
 	devB := testDevice()
 	dgB, _ := uploadStatic(devB, g, ZeroCopy, 8)
-	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
+	b, err := RunAlgo(context.Background(), devB, dgB, "bfs", src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestBFSBalancedCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BFSBalanced(context.Background(), dev, dg, src, 128)
+		res, err := bfsBalanced(context.Background(), dev, dg, src, 128)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
+		if err := res.Validate(g); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 	}
@@ -117,10 +117,10 @@ func TestBFSBalancedBadArgs(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	dg, _ := uploadStatic(dev, g, ZeroCopy, 8)
-	if _, err := BFSBalanced(context.Background(), dev, dg, 0, 16); err == nil {
+	if _, err := bfsBalanced(context.Background(), dev, dg, 0, 16); err == nil {
 		t.Errorf("split below warp size accepted")
 	}
-	if _, err := BFSBalanced(context.Background(), dev, dg, -1, 128); err == nil {
+	if _, err := bfsBalanced(context.Background(), dev, dg, -1, 128); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -138,17 +138,17 @@ func TestBalancedShortensCriticalPath(t *testing.T) {
 
 	devPlain := testDevice()
 	dgPlain, _ := uploadStatic(devPlain, g, ZeroCopy, 8)
-	plain, err := BFS(context.Background(), devPlain, dgPlain, 0, MergedAligned)
+	plain, err := RunAlgo(context.Background(), devPlain, dgPlain, "bfs", 0, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devBal := testDevice()
 	dgBal, _ := uploadStatic(devBal, g, ZeroCopy, 8)
-	bal, err := BFSBalanced(context.Background(), devBal, dgBal, 0, 256)
+	bal, err := bfsBalanced(context.Background(), devBal, dgBal, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBFS(g, 0, bal.Values); err != nil {
+	if err := bal.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if bal.Stats.MaxWarpHostReqs >= plain.Stats.MaxWarpHostReqs {

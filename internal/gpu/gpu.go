@@ -231,41 +231,6 @@ func (s *KernelStats) Add(o *KernelStats) {
 	s.Elapsed += o.Elapsed
 }
 
-// sub returns s - prev, field by field, for every summed field. The
-// max-aggregated critical-path counters (MaxWarpHostReqs, MaxWarpCXLReqs)
-// cannot be differenced and come back zero; Device.Since recomputes them
-// over the kernels of the window.
-func (s KernelStats) sub(prev KernelStats) KernelStats {
-	return KernelStats{
-		Name:                 s.Name,
-		Warps:                s.Warps - prev.Warps,
-		WarpInstrs:           s.WarpInstrs - prev.WarpInstrs,
-		HBMBytes:             s.HBMBytes - prev.HBMBytes,
-		PCIeRequests:         s.PCIeRequests - prev.PCIeRequests,
-		PCIePayloadBytes:     s.PCIePayloadBytes - prev.PCIePayloadBytes,
-		HostDRAMBytes:        s.HostDRAMBytes - prev.HostDRAMBytes,
-		CXLRequests:          s.CXLRequests - prev.CXLRequests,
-		CXLPayloadBytes:      s.CXLPayloadBytes - prev.CXLPayloadBytes,
-		CXLMemBytes:          s.CXLMemBytes - prev.CXLMemBytes,
-		UVMMigrations:        s.UVMMigrations - prev.UVMMigrations,
-		UVMHits:              s.UVMHits - prev.UVMHits,
-		ZCSectorReuses:       s.ZCSectorReuses - prev.ZCSectorReuses,
-		ZCActiveLanes:        s.ZCActiveLanes - prev.ZCActiveLanes,
-		ZCRefetches:          s.ZCRefetches - prev.ZCRefetches,
-		FaultedReads:         s.FaultedReads - prev.FaultedReads,
-		LatencySpikes:        s.LatencySpikes - prev.LatencySpikes,
-		ReorderMerged:        s.ReorderMerged - prev.ReorderMerged,
-		ReorderFlushes:       s.ReorderFlushes - prev.ReorderFlushes,
-		ReorderWindowSectors: s.ReorderWindowSectors - prev.ReorderWindowSectors,
-		WireSeconds:          s.WireSeconds - prev.WireSeconds,
-		TagSeconds:           s.TagSeconds - prev.TagSeconds,
-		CXLWireSeconds:       s.CXLWireSeconds - prev.CXLWireSeconds,
-		CXLTagSeconds:        s.CXLTagSeconds - prev.CXLTagSeconds,
-		UVMSerialSeconds:     s.UVMSerialSeconds - prev.UVMSerialSeconds,
-		Elapsed:              s.Elapsed - prev.Elapsed,
-	}
-}
-
 // Device is one simulated GPU attached to host memory over a PCIe link.
 type Device struct {
 	cfg   Config
@@ -291,9 +256,14 @@ type Device struct {
 	// Exclusive. Single-goroutine callers never touch it.
 	runMu sync.Mutex
 
-	clock   time.Duration
-	kernels []*KernelStats
-	total   KernelStats
+	clock time.Duration
+	total KernelStats
+	// kernels logs the current run's launches (BeginRun rewinds it, so a
+	// long-lived device keeps one run's worth), and runOther is the
+	// copy, memset and host-compute time since BeginRun. Together they
+	// are RunStats.
+	kernels  []*KernelStats
+	runOther time.Duration
 
 	// runEpoch counts traversal runs on this device (incremented by
 	// BeginRun). It is mixed into fault-injection decisions so a retry of
@@ -304,9 +274,9 @@ type Device struct {
 	// Reused launch scratch (launch.go): the persistent serial-path warp
 	// with its size-class counters, the parallel shard pool and its
 	// barrier, and a chunked KernelStats slab, so steady-state launches
-	// allocate nothing. Chunks are never moved or shrunk; ResetStats just
-	// rewinds ksUsed, which invalidates KernelStats pointers handed out
-	// before the reset.
+	// allocate nothing. Chunks are never moved or shrunk; BeginRun and
+	// ResetStats just rewind ksUsed, which invalidates KernelStats pointers
+	// handed out before the rewind.
 	serialWarp Warp
 	serialZC   [zcSizeClasses]uint64
 	serialCXL  [zcSizeClasses]uint64
@@ -391,32 +361,25 @@ func (d *Device) Monitor() *pcie.Monitor { return &d.mon }
 // Clock returns the simulated time elapsed on this device.
 func (d *Device) Clock() time.Duration { return d.clock }
 
-// Kernels returns per-launch statistics in launch order.
+// Kernels returns the current (or last) run's per-launch statistics in
+// launch order: BeginRun starts a fresh log.
 func (d *Device) Kernels() []*KernelStats { return d.kernels }
 
-// Total returns aggregate statistics over all launches and copies.
+// Total returns aggregate statistics over all launches and copies since the
+// device was built (or last ResetStats).
 func (d *Device) Total() KernelStats { return d.total }
 
-// StatsMark is a point in a device's activity history, taken by Mark.
-type StatsMark struct {
-	total   KernelStats
-	kernels int
-}
-
-// Mark records the device's activity so far; Since(mark) later returns
-// only what happened after it. A ResetStats in between invalidates the
-// mark.
-func (d *Device) Mark() StatsMark { return StatsMark{d.total, len(d.kernels)} }
-
-// Since returns the device's activity after m: the growth of every summed
-// counter, and the critical-path maxima over the kernels launched since m
-// alone, so a run's stats never inherit an earlier run's busiest warp.
-func (d *Device) Since(m StatsMark) KernelStats {
-	s := d.total.sub(m.total)
-	for _, ks := range d.kernels[m.kernels:] {
-		s.MaxWarpHostReqs = max(s.MaxWarpHostReqs, ks.MaxWarpHostReqs)
-		s.MaxWarpCXLReqs = max(s.MaxWarpCXLReqs, ks.MaxWarpCXLReqs)
+// RunStats returns the current (or last) run's statistics: the sum of the
+// kernels launched since BeginRun, plus the copy, memset and host-compute
+// time since then. Every field — the float roofline seconds and the
+// critical-path maxima included — depends on that run alone, never on what
+// the device ran before.
+func (d *Device) RunStats() KernelStats {
+	var s KernelStats
+	for _, ks := range d.kernels {
+		s.Add(ks)
 	}
+	s.Elapsed += d.runOther
 	return s
 }
 
@@ -428,10 +391,17 @@ func (d *Device) Since(m StatsMark) KernelStats {
 // invalidated (their backing slots will be reused).
 func (d *Device) ResetStats() {
 	d.clock = 0
-	d.kernels = d.kernels[:0]
-	d.ksUsed = 0
+	d.rewindRun()
 	d.total = KernelStats{}
 	d.mon.Reset()
+}
+
+// rewindRun empties the kernel log and the stats slab behind it, keeping
+// their capacity, and zeroes the run's non-kernel time.
+func (d *Device) rewindRun() {
+	d.kernels = d.kernels[:0]
+	d.ksUsed = 0
+	d.runOther = 0
 }
 
 // ResetUVMResidency evicts all UVM pages so the next run starts cold, and
@@ -610,6 +580,7 @@ func (d *Device) bulkLink(lnk pcie.LinkConfig, n int64, record bool, class pcie.
 	start := d.clock
 	d.clock += dt
 	d.total.Elapsed += dt
+	d.runOther += dt
 	d.mon.Sample(d.clock)
 	if d.tel != nil {
 		d.tel.CopyDone(d, record, n, start, d.clock)
@@ -632,6 +603,7 @@ func (d *Device) CopyOnDevice(dst, src *memsys.Buffer) {
 	dt := time.Duration(d.hbm.ServiceSeconds(2*src.Size()) * float64(time.Second))
 	d.clock += dt
 	d.total.Elapsed += dt
+	d.runOther += dt
 }
 
 // Memset fills a GPU-resident buffer with v, modeling a cudaMemsetAsync:
@@ -644,6 +616,7 @@ func (d *Device) Memset(b *memsys.Buffer, v byte) {
 	dt := time.Duration(d.hbm.ServiceSeconds(b.Size()) * float64(time.Second))
 	d.clock += dt
 	d.total.Elapsed += dt
+	d.runOther += dt
 }
 
 // HostCompute advances the clock by a host-side CPU cost (e.g. Subway's
@@ -654,4 +627,5 @@ func (d *Device) HostCompute(dt time.Duration) {
 	}
 	d.clock += dt
 	d.total.Elapsed += dt
+	d.runOther += dt
 }

@@ -304,33 +304,10 @@ func TestCoalescerCoverageProperty(t *testing.T) {
 	}
 }
 
-func TestKernelStatsSub(t *testing.T) {
-	a := KernelStats{Warps: 5, WarpInstrs: 10, HBMBytes: 20, PCIeRequests: 7,
-		PCIePayloadBytes: 224, HostDRAMBytes: 256, UVMMigrations: 3, UVMHits: 4,
-		WireSeconds: 2, TagSeconds: 3, UVMSerialSeconds: 4, Elapsed: 10 * time.Second,
-		ZCSectorReuses: 6, ZCActiveLanes: 8, ZCRefetches: 2, MaxWarpHostReqs: 9}
-	b := KernelStats{Warps: 2, WarpInstrs: 4, HBMBytes: 8, PCIeRequests: 3,
-		PCIePayloadBytes: 96, HostDRAMBytes: 128, UVMMigrations: 1, UVMHits: 2,
-		WireSeconds: 1, TagSeconds: 1, UVMSerialSeconds: 1, Elapsed: 4 * time.Second,
-		ZCSectorReuses: 1, ZCActiveLanes: 2, ZCRefetches: 1, MaxWarpHostReqs: 4}
-	d := a.sub(b)
-	if d.Warps != 3 || d.WarpInstrs != 6 || d.HBMBytes != 12 || d.PCIeRequests != 4 ||
-		d.PCIePayloadBytes != 128 || d.HostDRAMBytes != 128 || d.UVMMigrations != 2 ||
-		d.UVMHits != 2 || d.WireSeconds != 1 || d.TagSeconds != 2 ||
-		d.UVMSerialSeconds != 3 || d.Elapsed != 6*time.Second ||
-		d.ZCSectorReuses != 5 || d.ZCActiveLanes != 6 || d.ZCRefetches != 1 {
-		t.Errorf("sub wrong: %+v", d)
-	}
-	// MaxWarpHostReqs is max-aggregated and cannot be differenced: sub
-	// zeroes it (Device.Since recomputes it over the window's kernels).
-	if d.MaxWarpHostReqs != 0 {
-		t.Errorf("MaxWarpHostReqs = %d, want 0 (a lifetime maximum is not a delta)", d.MaxWarpHostReqs)
-	}
-}
-
-// TestDeviceSinceMaxima: the critical-path maxima of a window are the
-// window's own, not the device's lifetime maximum, while summed counters
-// are plain deltas.
+// TestDeviceSinceMaxima: a run's statistics cover only the kernels since
+// BeginRun — its critical-path maxima are its own, not the device's
+// lifetime maximum, summed counters start from zero, and the kernel log
+// holds that run alone — while Total stays cumulative.
 func TestDeviceSinceMaxima(t *testing.T) {
 	d := testDevice()
 	buf := d.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 1<<16)
@@ -345,20 +322,38 @@ func TestDeviceSinceMaxima(t *testing.T) {
 			}
 		})
 	}
-	busy := stream(16)
-	m := d.Mark()
+	d.BeginRun(RunLabels{App: "busy"})
+	busyReqs := stream(16).MaxWarpHostReqs
+	d.EndRun()
+	d.BeginRun(RunLabels{App: "quiet"})
 	quiet := stream(2)
-	if busy.MaxWarpHostReqs <= quiet.MaxWarpHostReqs {
-		t.Fatalf("setup: busy warp %d requests, quiet %d", busy.MaxWarpHostReqs, quiet.MaxWarpHostReqs)
+	copyTime := d.CopyToHost(4)
+	d.EndRun()
+	if busyReqs <= quiet.MaxWarpHostReqs {
+		t.Fatalf("setup: busy warp %d requests, quiet %d", busyReqs, quiet.MaxWarpHostReqs)
 	}
-	got := d.Since(m)
+	got := d.RunStats()
 	if got.MaxWarpHostReqs != quiet.MaxWarpHostReqs {
-		t.Errorf("Since.MaxWarpHostReqs = %d, want the window's own %d (lifetime max %d)",
+		t.Errorf("RunStats.MaxWarpHostReqs = %d, want the run's own %d (lifetime max %d)",
 			got.MaxWarpHostReqs, quiet.MaxWarpHostReqs, d.Total().MaxWarpHostReqs)
 	}
 	if got.PCIeRequests != quiet.PCIeRequests || got.Warps != 1 {
-		t.Errorf("Since counters = %d requests / %d warps, want %d / 1",
+		t.Errorf("RunStats counters = %d requests / %d warps, want %d / 1",
 			got.PCIeRequests, got.Warps, quiet.PCIeRequests)
+	}
+	if got.WireSeconds != quiet.WireSeconds || got.TagSeconds != quiet.TagSeconds {
+		t.Errorf("RunStats seconds = %v/%v, want the run's own %v/%v",
+			got.WireSeconds, got.TagSeconds, quiet.WireSeconds, quiet.TagSeconds)
+	}
+	if want := quiet.Elapsed + copyTime; got.Elapsed != want {
+		t.Errorf("RunStats.Elapsed = %v, want kernel + copy time %v", got.Elapsed, want)
+	}
+	if n := len(d.Kernels()); n != 1 {
+		t.Errorf("kernel log holds %d launches, want the last run's 1", n)
+	}
+	if tot := d.Total(); tot.Warps != 2 || tot.MaxWarpHostReqs != busyReqs {
+		t.Errorf("Total = %d warps / max %d requests, want the lifetime 2 / %d",
+			tot.Warps, tot.MaxWarpHostReqs, busyReqs)
 	}
 }
 

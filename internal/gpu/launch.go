@@ -86,8 +86,8 @@ func (d *Device) newLaunchShard() *launchShard {
 const ksChunkSize = 64
 
 // newLaunchStats hands out a zeroed *KernelStats from the device's chunked
-// slab. Chunks are never moved, so the pointer stays valid until ResetStats
-// rewinds the slab.
+// slab. Chunks are never moved, so the pointer stays valid until BeginRun
+// or ResetStats rewinds the slab.
 func (d *Device) newLaunchStats(name string, warps int) *KernelStats {
 	ci, cj := d.ksUsed/ksChunkSize, d.ksUsed%ksChunkSize
 	if ci == len(d.ksChunks) {

@@ -89,11 +89,12 @@ func (d *Device) SetTelemetry(t Telemetry) { d.tel = t }
 // Telemetry returns the attached sink, or nil when telemetry is disabled.
 func (d *Device) Telemetry() Telemetry { return d.tel }
 
-// BeginRun reports the start of a traversal run to the attached telemetry
-// sink and advances the device's run epoch. It does not allocate; with
-// telemetry and fault injection both disabled the epoch increment is the
-// only work.
+// BeginRun starts a traversal run: it rewinds the kernel log and the
+// run's stats window (see RunStats), advances the device's run epoch, and
+// reports the run to the attached telemetry sink. It does not allocate.
+// KernelStats pointers from the previous run's Kernels are invalidated.
 func (d *Device) BeginRun(labels RunLabels) {
+	d.rewindRun()
 	d.runEpoch++
 	if d.tel != nil {
 		d.tel.RunBegin(d, labels)

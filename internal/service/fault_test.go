@@ -102,11 +102,11 @@ func TestServiceFaultStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference %s/src=%d: %v", o.req.Algo, o.req.Src, err)
 		}
-		got, wantN := normalize(o.res), normalize(want)
-		got.Degraded, wantN.Degraded = false, false
-		if !reflect.DeepEqual(got, wantN) {
+		got := *o.res
+		got.Degraded = false
+		if !reflect.DeepEqual(got, *want) {
 			t.Errorf("%s/src=%d (degraded=%v): result diverged from fault-free reference\n got %+v\nwant %+v",
-				o.req.Algo, o.req.Src, o.res.Degraded, got, wantN)
+				o.req.Algo, o.req.Src, o.res.Degraded, got, *want)
 		}
 	}
 	t.Logf("degraded=%d/%d", degradedRuns, requests)
@@ -179,11 +179,8 @@ func TestServiceRetryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, wantN := normalize(res), normalize(want); !reflect.DeepEqual(got, wantN) {
-		t.Errorf("retried result diverged from fault-free run\n got %+v\nwant %+v", got, wantN)
-	}
-	if !closeSeconds(res.Stats.WireSeconds, want.Stats.WireSeconds) {
-		t.Errorf("WireSeconds %v vs fault-free %v", res.Stats.WireSeconds, want.Stats.WireSeconds)
+	if !reflect.DeepEqual(*res, *want) {
+		t.Errorf("retried result diverged from fault-free run\n got %+v\nwant %+v", *res, *want)
 	}
 }
 

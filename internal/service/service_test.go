@@ -35,33 +35,6 @@ func newTestService(t *testing.T, cfg Config) (*Service, *emogi.System) {
 	return svc, sys
 }
 
-// normalize clears the KernelStats fields that are not bit-stable
-// per-run deltas: the float second accumulators (WireSeconds, TagSeconds,
-// UVMSerialSeconds) are deltas of cumulative float64 sums, whose low ulps
-// depend on the accumulated base. The float fields are checked separately
-// with a relative tolerance (closeSeconds).
-func normalize(res *emogi.Result) emogi.Result {
-	cp := *res
-	cp.Stats.WireSeconds = 0
-	cp.Stats.TagSeconds = 0
-	cp.Stats.UVMSerialSeconds = 0
-	return cp
-}
-
-// closeSeconds reports whether two float second counters agree to within
-// float64 subtraction noise.
-func closeSeconds(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := a
-	if b > scale {
-		scale = b
-	}
-	return diff <= 1e-9*scale+1e-15
-}
-
 // TestServiceStress is the concurrency acceptance test: 32 concurrent
 // requests against a service with 4 workers and an 8-deep queue while
 // the device is frozen, so admission capacity (4 in-worker + 8 queued =
@@ -165,17 +138,9 @@ func TestServiceStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference %s/src=%d: %v", o.req.Algo, o.req.Src, err)
 		}
-		if got, wantN := normalize(o.res), normalize(want); !reflect.DeepEqual(got, wantN) {
+		if !reflect.DeepEqual(*o.res, *want) {
 			t.Errorf("%s/src=%d: service result diverged from direct System.Do\n got %+v\nwant %+v",
-				o.req.Algo, o.req.Src, got, wantN)
-		}
-		if !closeSeconds(o.res.Stats.WireSeconds, want.Stats.WireSeconds) ||
-			!closeSeconds(o.res.Stats.TagSeconds, want.Stats.TagSeconds) ||
-			!closeSeconds(o.res.Stats.UVMSerialSeconds, want.Stats.UVMSerialSeconds) {
-			t.Errorf("%s/src=%d: float second counters diverged beyond tolerance: got %v/%v/%v want %v/%v/%v",
-				o.req.Algo, o.req.Src,
-				o.res.Stats.WireSeconds, o.res.Stats.TagSeconds, o.res.Stats.UVMSerialSeconds,
-				want.Stats.WireSeconds, want.Stats.TagSeconds, want.Stats.UVMSerialSeconds)
+				o.req.Algo, o.req.Src, *o.res, *want)
 		}
 	}
 
@@ -209,6 +174,30 @@ func TestServiceStress(t *testing.T) {
 	}
 }
 
+// TestServiceKernelLogHoldsOneRun: a long-lived service's device keeps
+// only its last run's kernel log, however many requests it has served, so
+// the log and the stats slab behind it do not grow with traffic.
+func TestServiceKernelLogHoldsOneRun(t *testing.T) {
+	svc, sys := newTestService(t, Config{Concurrency: 1})
+	defer svc.Close()
+	var last *emogi.Result
+	for i := 0; i < 20; i++ {
+		algo := "bfs"
+		if i%2 == 1 {
+			algo = "sssp"
+		}
+		res, err := svc.Do(context.Background(), Request{Dataset: "GK", Algo: algo, Src: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res
+	}
+	// The standard kernels launch once per round.
+	if got, want := len(sys.Device().Kernels()), last.Iterations; got != want {
+		t.Errorf("kernel log holds %d launches after 20 runs, want the last run's %d", got, want)
+	}
+}
+
 // TestServiceCache: repeating a request serves the cached Result without
 // touching the device; normalized-equivalent requests share the entry.
 func TestServiceCache(t *testing.T) {
@@ -219,7 +208,7 @@ func TestServiceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernels := len(sys.Device().Kernels())
+	clock := sys.Device().Clock()
 	again, err := svc.Do(context.Background(), Request{Dataset: "GK", Algo: "bfs", Src: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +219,8 @@ func TestServiceCache(t *testing.T) {
 	if !reflect.DeepEqual(again, first) {
 		t.Errorf("cached Result differs from the original")
 	}
-	if got := len(sys.Device().Kernels()); got != kernels {
-		t.Errorf("cache hit launched %d kernel(s)", got-kernels)
+	if got := sys.Device().Clock(); got != clock {
+		t.Errorf("cache hit ran on the device (clock %v -> %v)", clock, got)
 	}
 	// The copies must be independent: mutating one caller's response must
 	// not leak into what the next hit sees.
@@ -250,11 +239,11 @@ func TestServiceCache(t *testing.T) {
 	if _, err := svc.Do(context.Background(), Request{Dataset: "GK", Algo: "cc", Src: 1}); err != nil {
 		t.Fatal(err)
 	}
-	kernels = len(sys.Device().Kernels())
+	clock = sys.Device().Clock()
 	if _, err := svc.Do(context.Background(), Request{Dataset: "GK", Algo: "cc", Src: 99}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.Device().Kernels()); got != kernels {
+	if got := sys.Device().Clock(); got != clock {
 		t.Errorf("source-free cache key missed: cc with a different src re-ran")
 	}
 	if n := svc.cache.len(); n != 2 {

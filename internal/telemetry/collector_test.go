@@ -72,7 +72,7 @@ func TestCollectorCXLSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
+		res, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,25 +111,26 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
 
-	totalRounds := 0
+	totalRounds, launches := 0, 0
 	for _, transport := range []core.Transport{core.ZeroCopy, core.UVM} {
 		dg, err := core.Upload(dev, g, core.StaticPolicyFor(transport), 8, core.PlaceAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
+		res, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}
 		totalRounds += res.Iterations
+		launches += len(dev.Kernels()) // the log holds one run
 	}
 
 	out := render(t, col.Registry())
 	validateExposition(t, out)
 	series := parseSeries(t, out)
 
-	if got, want := sumSeries(t, series, "emogi_kernel_launches_total"), uint64(len(dev.Kernels())); got != want {
-		t.Errorf("emogi_kernel_launches_total = %d, want %d (len(dev.Kernels()))", got, want)
+	if got, want := sumSeries(t, series, "emogi_kernel_launches_total"), uint64(launches); got != want {
+		t.Errorf("emogi_kernel_launches_total = %d, want %d (the runs' kernel logs)", got, want)
 	}
 	snap := dev.Monitor().Snapshot()
 	if got := sumSeries(t, series, "emogi_pcie_wire_bytes_total"); got != snap.WireBytes {
@@ -184,7 +185,7 @@ func TestCollectorLabelsOnePolicyName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.BFS(ctx, dev, dgU, src, core.MergedAligned)
+	loaded, err := core.RunAlgo(ctx, dev, dgU, "bfs", src, core.MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCollectorLabelsOnePolicyName(t *testing.T) {
 		t.Fatal(err)
 	}
 	over := core.WithPolicyOverride(ctx, core.StaticPolicyFor(core.UVM))
-	overridden, err := core.BFS(over, dev, dgZ, src, core.MergedAligned)
+	overridden, err := core.RunAlgo(over, dev, dgZ, "bfs", src, core.MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestCollectorReorderCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,7 +271,7 @@ func TestCollectorTraceDroppedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Monitor().TraceDropped() == 0 {
@@ -296,7 +297,7 @@ func TestCollectorSurvivesStatsReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.BFS(context.Background(), dev, dg, src, core.Merged); err != nil {
+		if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.Merged); err != nil {
 			t.Fatal(err)
 		}
 		return dev.Monitor().Snapshot().WireBytes
@@ -355,7 +356,7 @@ func TestCollectorSerialParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := core.SSSP(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
+			if _, err := core.RunAlgo(context.Background(), dev, dg, "sssp", src, core.MergedAligned); err != nil {
 				t.Fatal(err)
 			}
 		}

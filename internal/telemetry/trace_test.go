@@ -25,7 +25,7 @@ func TestTracerWriteJSONSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 
